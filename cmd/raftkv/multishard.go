@@ -28,9 +28,6 @@ func runMultiShardBench(n, shards, clients int, duration time.Duration, disk boo
 		mix = fmt.Sprintf("%.0f%% %v reads", readRatio*100, readMode)
 	}
 	fsync := "coalesced"
-	if !syncCoalesce {
-		fsync = "per-group"
-	}
 	if deviceLatency > 0 {
 		fsync += fmt.Sprintf(", %v shared device", deviceLatency)
 	}
@@ -49,9 +46,7 @@ func runMultiShardBench(n, shards, clients int, duration time.Duration, disk boo
 		ReadRatio:       readRatio,
 		ReadMode:        readMode,
 		LeaseDuration:   lease,
-		SyncPipeline:    syncPipeline,
 		DeviceLatency:   deviceLatency,
-		PerGroupFsync:   !syncCoalesce,
 		Recorder:        shardTrace,
 	})
 	if err != nil {
@@ -113,7 +108,6 @@ func runMultiShardDemo(n, shards int, readMode raft.ReadConsistency, lease time.
 		Metrics:           reg,
 		Tracer:            tracer,
 		Flights:           flights,
-		SyncPipeline:      syncPipeline,
 	})
 	if err != nil {
 		return err

@@ -68,9 +68,6 @@ type MultiShardConfig struct {
 	// through the cluster (shard.Config.Tracer / shard.Config.Flights).
 	Tracer  *rtrace.Tracer
 	Flights []*rtrace.Flight
-	// SyncPipeline runs every group's nodes with the fully ordered write
-	// path (raft.Config.SyncPipeline) instead of the pipelined default.
-	SyncPipeline bool
 	// DeviceLatency, when > 0, models each node's *shared* storage
 	// device (shard.Config.DeviceLatency → one raft.Disk per node):
 	// every durability barrier from any of the node's groups pays this
@@ -78,10 +75,6 @@ type MultiShardConfig struct {
 	// which models an independent device per replica (raft.SlowDisk).
 	// E18 uses DeviceLatency; E16 keeps FsyncFloor.
 	DeviceLatency time.Duration
-	// PerGroupFsync disables cross-group sync coalescing (the pre-PR10
-	// baseline): each group's flush pays its own serialized device
-	// barrier. Zero means the node-wide syncer coalesces them.
-	PerGroupFsync bool
 	// Recorder, when set, captures the run's protocol trace: mux-tagged
 	// message events from the simulated network plus per-flush fsync
 	// notes from every replica's storage (shard.Config.Recorder), the
@@ -104,7 +97,7 @@ type MultiShardResult struct {
 	// paid across the cluster — the node-wide fsync count that
 	// coalescing reduces while Fsyncs (per-file) stays put. MeanWidth is
 	// how many group flushes the average barrier covered (Requests /
-	// Barriers; 1.0 when nothing coalesced or PerGroupFsync is set).
+	// Barriers; 1.0 when nothing coalesced).
 	Barriers      int64
 	BarriersPerOp float64
 	MeanWidth     float64
@@ -202,9 +195,7 @@ func RunMultiShard(cfg MultiShardConfig) (MultiShardResult, error) {
 		Storage:           storage,
 		Metrics:           cfg.Metrics,
 		ShardMetrics:      cfg.ShardMetrics,
-		SyncPipeline:      cfg.SyncPipeline,
 		DeviceLatency:     cfg.DeviceLatency,
-		PerGroupFsync:     cfg.PerGroupFsync,
 		Recorder:          cfg.Recorder,
 	})
 	if err != nil {

@@ -46,10 +46,6 @@ type ThroughputConfig struct {
 	// with this latency per durability barrier, pinning the device term
 	// so runs compare write-path structure rather than host fsync moods.
 	SlowDisk time.Duration
-	// SyncPipeline runs the nodes with the fully ordered write path
-	// (raft.Config.SyncPipeline) — the pre-pipeline baseline E17 compares
-	// against.
-	SyncPipeline bool
 	// SyncCoalesce installs a per-node raft.SyncCoalescer under each
 	// node's FileStorage even though every node here runs a single group
 	// — the degenerate case of the PR10 cross-group coalescer, where
@@ -182,7 +178,6 @@ func RunRaftThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 			MaxInflightAppends:  cfg.MaxInflightAppends,
 			MaxProposalBatch:    cfg.MaxProposalBatch,
 			LeaseDuration:       cfg.LeaseDuration,
-			SyncPipeline:        cfg.SyncPipeline,
 			Syncer:              syncer,
 		})
 		if err != nil {

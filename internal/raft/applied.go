@@ -6,40 +6,40 @@ import (
 	"sync/atomic"
 )
 
-// appliedNotifier publishes the node's applied index to waiters outside
-// the main loop. The client's SubmitWait used to discover applies by
-// polling Status every backoff tick — each poll a channel round-trip
-// through the main loop, so a grid of closed-loop clients both
-// quantized its own latency to the poll period and stole main-loop
-// iterations from the commit pipeline it was waiting on. The notifier
-// replaces that with edge-triggered wakeups: the main loop calls
-// advance after each apply batch (one mutex acquisition and at most one
-// channel rotation), and waiters block on a closed-channel broadcast
-// without the main loop ever seeing them.
+// appliedNotifier publishes the node's applied index, and the term of
+// the entry applied there, to waiters outside the main loop. The
+// client's SubmitWait used to discover applies by polling Status every
+// backoff tick — each poll a channel round-trip through the main loop,
+// so a grid of closed-loop clients both quantized its own latency to
+// the poll period and stole main-loop iterations from the commit
+// pipeline it was waiting on. The notifier replaces that with
+// edge-triggered wakeups: the apply worker calls advance after each
+// apply batch (one mutex acquisition and at most one channel rotation),
+// and waiters block on a closed-channel broadcast without the main loop
+// ever seeing them.
 type appliedNotifier struct {
-	mu  sync.Mutex
-	idx int
-	ch  chan struct{} // closed and rotated whenever idx advances
-	// cur mirrors idx for lock-free reads: in pipelined mode the apply
-	// worker is the advancing side and the main loop polls the value on
-	// every read it serves (appliedView), so the read must not contend
-	// with waiter wakeups.
+	mu   sync.Mutex
+	idx  int
+	term int           // term of the entry at idx (the snapshot's, after a restore)
+	ch   chan struct{} // closed and rotated whenever idx advances
+	// cur mirrors idx for lock-free reads: the apply worker is the
+	// advancing side and the main loop polls the value on every read it
+	// serves, so the read must not contend with waiter wakeups.
 	cur atomic.Int64
 }
 
-func newAppliedNotifier(idx int) *appliedNotifier {
-	a := &appliedNotifier{idx: idx, ch: make(chan struct{})}
+func newAppliedNotifier(idx, term int) *appliedNotifier {
+	a := &appliedNotifier{idx: idx, term: term, ch: make(chan struct{})}
 	a.cur.Store(int64(idx))
 	return a
 }
 
-// advance publishes a new applied index and wakes all current waiters.
-// Called from the node's main loop (sync mode) or the apply worker
-// (pipelined mode) — never both.
-func (a *appliedNotifier) advance(idx int) {
+// advance publishes a new applied index and the term of its entry, and
+// wakes all current waiters. Called only from the apply worker.
+func (a *appliedNotifier) advance(idx, term int) {
 	a.mu.Lock()
 	if idx > a.idx {
-		a.idx = idx
+		a.idx, a.term = idx, term
 		a.cur.Store(int64(idx))
 		close(a.ch)
 		a.ch = make(chan struct{})
@@ -52,22 +52,31 @@ func (a *appliedNotifier) current() int {
 	return int(a.cur.Load())
 }
 
+// last reads the published applied index and its entry's term together.
+func (a *appliedNotifier) last() (idx, term int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.idx, a.term
+}
+
 // wait blocks until the published applied index reaches index, ctx
-// ends, or stop closes. It returns the last index it observed.
-func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index int) (int, error) {
+// ends, or stop closes. It returns the last index it observed and the
+// term of the entry applied there.
+func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index int) (idx, term int, err error) {
 	for {
 		a.mu.Lock()
-		idx, ch := a.idx, a.ch
+		idx, term = a.idx, a.term
+		ch := a.ch
 		a.mu.Unlock()
 		if idx >= index {
-			return idx, nil
+			return idx, term, nil
 		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return idx, ctx.Err()
+			return idx, term, ctx.Err()
 		case <-stop:
-			return idx, ErrStopped
+			return idx, term, ErrStopped
 		}
 	}
 }
@@ -80,9 +89,9 @@ func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index 
 //
 // Reaching index says nothing about WHICH entry was applied there: an
 // entry can be truncated by a new leader and replaced at the same
-// index. Callers that submitted the entry (Client.SubmitWait) combine
-// this with a Status check for the truncation races, exactly as the
-// polling loop did.
+// index. Client.SubmitWait tells its own entry from a replacement by
+// the applied entry's term (see Client.waitApplied).
 func (nd *Node) AwaitApplied(ctx context.Context, index int) (int, error) {
-	return nd.applied.wait(ctx, nd.stopped, index)
+	idx, _, err := nd.applied.wait(ctx, nd.stopped, index)
+	return idx, err
 }

@@ -125,21 +125,27 @@ func (c *Client) nextBackoff(attempt int) time.Duration {
 // around SubmitWait errors (exactly-once needs client session state,
 // which is out of scope here as in the Raft paper's core protocol).
 func (c *Client) Submit(ctx context.Context, cmd any) (index int, node int, err error) {
+	rep, node, err := c.submit(ctx, cmd)
+	return rep.index, node, err
+}
+
+// submit is Submit that also returns the accepting leader's term.
+func (c *Client) submit(ctx context.Context, cmd any) (proposeReply, int, error) {
 	probe := 0
 	target := int(c.leader.Load()) // last known leader; -1 probes
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return 0, 0, fmt.Errorf("raft: client: %w", err)
+			return proposeReply{}, 0, fmt.Errorf("raft: client: %w", err)
 		}
 		id := target
 		if id < 0 || id >= len(c.nodes) {
 			id = probe % len(c.nodes)
 			probe++
 		}
-		idx, perr := c.nodes[id].Propose(ctx, cmd)
+		rep, perr := c.nodes[id].propose(ctx, cmd)
 		if perr == nil {
 			c.leader.Store(int32(id))
-			return idx, id, nil
+			return rep, id, nil
 		}
 		var nl ErrNotLeader
 		redirected := false
@@ -153,7 +159,7 @@ func (c *Client) Submit(ctx context.Context, cmd any) (index int, node int, err 
 		case errors.Is(perr, ErrStopped):
 			target = -1 // that node is gone; probe the others
 		default:
-			return 0, 0, fmt.Errorf("raft: client submit: %w", perr)
+			return proposeReply{}, 0, fmt.Errorf("raft: client submit: %w", perr)
 		}
 		if redirected && attempt < len(c.nodes) {
 			// A concrete redirect: chase it immediately. Backing off
@@ -171,24 +177,24 @@ func (c *Client) Submit(ctx context.Context, cmd any) (index int, node int, err 
 
 // SubmitWait proposes cmd and blocks until the accepting node has applied
 // the entry at the assigned index — i.e. the command is committed and
-// visible in that node's state machine. If leadership changes before
-// commit it retries the submission from scratch.
+// visible in that node's state machine. If a later leader replaced the
+// entry before it committed, it retries the submission from scratch.
 func (c *Client) SubmitWait(ctx context.Context, cmd any) (index int, err error) {
 	if id, ok := c.beginTrace(cmd); ok {
 		ctx = rtrace.WithTrace(ctx, id)
 		defer func() { c.tracer.End(id, err != nil) }()
 	}
 	for {
-		idx, id, err := c.Submit(ctx, cmd)
+		rep, id, err := c.submit(ctx, cmd)
 		if err != nil {
 			return 0, err
 		}
-		applied, err := c.waitApplied(ctx, id, idx)
+		applied, err := c.waitApplied(ctx, id, rep)
 		if err != nil {
 			return 0, err
 		}
 		if applied {
-			return idx, nil
+			return rep.index, nil
 		}
 		// The entry was lost to a leadership change; resubmit.
 	}
@@ -317,11 +323,11 @@ func (c *Client) readStale(ctx context.Context, key string) (string, bool, error
 // quorum replication).
 func (c *Client) readLogCommand(ctx context.Context, key string) (string, bool, error) {
 	for {
-		idx, id, err := c.Submit(ctx, KVCommand{Op: "get", Key: key})
+		rep, id, err := c.submit(ctx, KVCommand{Op: "get", Key: key})
 		if err != nil {
 			return "", false, err
 		}
-		applied, err := c.waitApplied(ctx, id, idx)
+		applied, err := c.waitApplied(ctx, id, rep)
 		if err != nil {
 			return "", false, err
 		}
@@ -342,24 +348,24 @@ func (c *Client) get(id int, key string) (string, bool, error) {
 	return v, found, nil
 }
 
-// waitApplied blocks until node id's lastApplied covers index (true), or
-// the node's log no longer contains our proposal's term at that position
-// because a new leader truncated it (false → caller resubmits).
+// waitApplied blocks until node id has applied the log through the
+// accepted entry's index, then reports whether the entry applied there
+// is ours (true) or a replacement written by a later leader (false →
+// caller resubmits).
 //
-// Applies are observed through the node's applied notifier rather than
-// by polling Status every backoff tick: a Status call is a channel
-// round-trip through the node's main loop, so closed-loop clients both
-// quantized their latency to the poll period and stole loop iterations
-// from the commit pipeline. The happy path is now notifier-only — a
-// Status round-trip after the apply edge would stall behind whatever
-// the loop is doing next (typically the following batch's group-commit
-// fsync), adding unattributed milliseconds between apply and reply that
-// rtrace spans made visible. The Status checks remain for the timeout
-// path, where they decide the truncation and stopped-node races the
-// notifier can't see. Note the notifier result carries the same caveat
-// Status.LastApplied always did: applied reaching index does not prove
-// OUR entry survived at that index (see AwaitApplied).
-func (c *Client) waitApplied(ctx context.Context, id, index int) (bool, error) {
+// The applied notifier publishes the term of the last applied entry
+// alongside its index. Log terms never decrease along the log, and any
+// entry replacing ours carries a later term, so when that term equals
+// the proposal's the entry at our index is ours and the happy path needs
+// no main-loop round trip. A later term costs one lookup of the
+// committed entry at our index (Node.committedEntryIs), whose answer is
+// final. Applies are observed through the notifier rather than by
+// polling Status, which quantized closed-loop clients' latency to the
+// poll period and stole loop iterations from the commit pipeline. The
+// Status checks remain for the timeout path, where they decide the
+// truncation and stopped-node races the notifier can't see.
+func (c *Client) waitApplied(ctx context.Context, id int, rep proposeReply) (bool, error) {
+	nd := c.nodes[id]
 	for {
 		if err := ctx.Err(); err != nil {
 			return false, fmt.Errorf("raft: client: %w", err)
@@ -367,10 +373,17 @@ func (c *Client) waitApplied(ctx context.Context, id, index int) (bool, error) {
 		// Wake at the apply edge; the timeout bounds how long a
 		// truncation (which applies nothing at our index) can stall us.
 		wctx, cancel := context.WithTimeout(ctx, 10*c.backoff)
-		applied, err := c.nodes[id].AwaitApplied(wctx, index)
+		_, term, err := nd.applied.wait(wctx, nd.stopped, rep.index)
 		cancel()
-		if err == nil && applied >= index {
-			return true, nil
+		if err == nil {
+			if term == rep.term {
+				return true, nil
+			}
+			ours, err := nd.committedEntryIs(rep.index, rep.term)
+			if errors.Is(err, ErrStopped) {
+				return false, nil
+			}
+			return ours, err
 		}
 		if errors.Is(err, ErrStopped) {
 			return false, nil
@@ -380,11 +393,9 @@ func (c *Client) waitApplied(ctx context.Context, id, index int) (bool, error) {
 		}
 		// The wait timed out without the apply reaching index. Consult
 		// Status for what the notifier can't tell us.
-		st := c.nodes[id].Status()
+		st := nd.Status()
 		switch {
-		case st.LastApplied >= index:
-			return true, nil
-		case st.LogLength < index:
+		case st.LogLength < rep.index:
 			// Truncated by a new leader: the entry is gone.
 			return false, nil
 		case st.State != Leader && st.Term == 0:

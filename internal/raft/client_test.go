@@ -100,6 +100,94 @@ func TestClientSurvivesLeaderCrash(t *testing.T) {
 	}
 }
 
+// TestSubmitWaitDetectsOverwrittenEntry: a leader accepts a write and is
+// partitioned away before replicating it; the majority elects a new
+// leader whose entries overwrite that index; on rejoin the old leader
+// applies the new entry at the write's index. The applied index alone
+// says "done" — SubmitWait must notice the entry applied there is not
+// its own and resubmit, so an acknowledged write is never lost.
+func TestSubmitWaitDetectsOverwrittenEntry(t *testing.T) {
+	c := newCluster(t, 3, 83)
+	client, err := NewClient(c.nodes, WithClientBackoff(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	base, err := client.SubmitWait(ctx, KVCommand{Op: "set", Key: "base", Value: "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := c.waitLeader()
+	c.waitApplied(base, 0, 1, 2)
+	var rest []int
+	for id := range c.nodes {
+		if id != old {
+			rest = append(rest, id)
+		}
+	}
+
+	// The old leader accepts the write but cannot replicate it.
+	c.nw.Partition([]int{old}, rest)
+	client.leader.Store(int32(old))
+	type result struct {
+		idx int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		idx, err := client.SubmitWait(ctx, KVCommand{Op: "set", Key: "x", Value: "acked"})
+		done <- result{idx, err}
+	}()
+	accepted := c.nodes[old].Status().LogLength
+	for deadline := time.Now().Add(10 * time.Second); accepted <= base; accepted = c.nodes[old].Status().LogLength {
+		if time.Now().After(deadline) {
+			t.Fatal("partitioned leader never accepted the write")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The majority moves on: its new leader's term-opening no-op and a
+	// write of its own overwrite the accepted index.
+	var newLeader int
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("majority never elected a new leader")
+		}
+		if id := rest[0]; c.nodes[id].Status().State == Leader {
+			newLeader = id
+			break
+		}
+		if id := rest[1]; c.nodes[id].Status().State == Leader {
+			newLeader = id
+			break
+		}
+	}
+	idx, err := c.nodes[newLeader].Propose(ctx, KVCommand{Op: "set", Key: "y", Value: "majority"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx <= accepted {
+		t.Fatalf("new leader's write landed at %d, not past the accepted index %d", idx, accepted)
+	}
+	c.waitApplied(idx, rest...)
+
+	// Rejoin: the old leader truncates the write and applies the
+	// majority's entries over its index.
+	c.nw.Heal()
+	c.waitApplied(idx, old)
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("SubmitWait: %v", res.err)
+	}
+	c.waitApplied(res.idx, 0, 1, 2)
+	for id, kv := range c.kvs {
+		if v, ok := kv.Get("x"); !ok || v != "acked" {
+			t.Fatalf("node %d: acknowledged write lost (x=%q, found=%v, SubmitWait reported index %d)", id, v, ok, res.idx)
+		}
+	}
+}
+
 func TestClientContextCancelled(t *testing.T) {
 	nw := netsim.New(1)
 	node, err := NewNode(Config{ID: 0, Endpoint: nw.Node(0), RNG: sim.NewRNG(1),

@@ -87,19 +87,10 @@ type Config struct {
 	// single leadership-confirmation round (one heartbeat exchange serves
 	// the whole batch). Default 256; minimum 1.
 	MaxReadBatch int
-	// SyncPipeline restores the fully ordered pre-pipeline write path:
-	// every main-loop iteration fsyncs inline before any message leaves
-	// and applies committed entries before the next iteration runs. The
-	// zero value selects the pipelined path (see pipeline.go), which
-	// overlaps the leader's fsync with replication and moves apply onto
-	// a dedicated goroutine. Sync mode exists for the determinism
-	// harnesses (per-seed traces stay byte-identical) and as the
-	// before-side of the pipeline experiments.
-	SyncPipeline bool
-	// ApplyQueueDepth bounds the pipelined apply queue (items, where an
+	// ApplyQueueDepth bounds the apply worker's queue (items, where an
 	// item is one committed batch, snapshot restore, or parked read). A
 	// full queue blocks the main loop — backpressure, not loss. Default
-	// 256; minimum 1. Ignored in SyncPipeline mode.
+	// 256; minimum 1.
 	ApplyQueueDepth int
 	// LeaseDuration enables leader leases for the read fast path: after
 	// each quorum-confirmed round the leader may serve ReadLease reads
@@ -204,22 +195,21 @@ type Node struct {
 
 	// Staged side effects of the current main-loop iteration (the
 	// group-commit seam): handlers record durable mutations and outbound
-	// messages here, and flush() applies them in order — all persistence
-	// first (one Storage.AppendBatch, hence one fsync, however many
-	// messages and proposals the iteration coalesced), then the sends and
-	// proposal replies that externalize the persisted state.
+	// messages here, and flush() hands the mutations to the persist
+	// worker as one batch (one Storage.AppendBatch, hence one fsync,
+	// however many messages and proposals the iteration coalesced) while
+	// releasing the sends and replies that claim nothing durable.
 	stateDirty bool
 	pendingLog []LogMutation
 	outbox     []outMsg
 	replies    []stagedReply
 
-	// Pipelined write path (see pipeline.go). pipeApply runs the apply
-	// worker; pipePersist additionally runs the persist worker (it needs
-	// a Storage to be worth a goroutine). durableIndex is the highest log
-	// index the leader's own disk holds — its self-ack for quorum —
-	// raised as persist batches complete (FIFO targets in
-	// pendingPersist, clamped by truncations while in flight).
-	pipeApply     bool
+	// Write path workers (see pipeline.go). The apply worker always
+	// runs; pipePersist adds the persist worker (it needs a Storage to be
+	// worth a goroutine). durableIndex is the highest log index the
+	// leader's own disk holds — its self-ack for quorum — raised as
+	// persist batches complete (FIFO targets in pendingPersist, clamped
+	// by truncations while in flight).
 	pipePersist   bool
 	applyQ        chan applyItem
 	applyErrCh    chan error
@@ -238,8 +228,8 @@ type Node struct {
 	// confirmation rounds, reads holds the unconfirmed ones, curRound is
 	// this iteration's coalescing target, earlyReads park until the
 	// term-opening no-op commits, and leaseUntil is the held lease's
-	// expiry. Follower side: relay tracks reads forwarded to the leader,
-	// and applyWaits parks confirmed reads until the state machine
+	// expiry. Follower side: relay tracks reads forwarded to the leader.
+	// Confirmed reads park on the apply worker until the state machine
 	// catches up to their read index.
 	readSeq    int
 	reads      []*readRound
@@ -249,14 +239,13 @@ type Node struct {
 	termStart  int // index of this leader term's opening no-op
 	relaySeq   int64
 	relay      map[int64]relayWait
-	applyWaits []applyWait
 	rstats     readStats
 
 	// Per-request tracing bookkeeping (leader only, sampled proposals
 	// only): traced maps a log index to its in-flight trace, and
 	// tracedUnsynced lists the indexes whose fsync phase is still open —
-	// closed by the next flushPersist. Both stay empty with tracing off,
-	// so the hot path pays a len check.
+	// handed to the next persist batch, which stamps it. Both stay empty
+	// with tracing off, so the hot path pays a len check.
 	traced         map[int]*tracedOp
 	tracedUnsynced []int
 
@@ -264,6 +253,7 @@ type Node struct {
 	readCh     chan readReq
 	campaignCh chan any
 	statusCh   chan chan Status
+	inspectCh  chan func()
 	stopped    chan struct{}
 	stopOnce   sync.Once
 	done       chan struct{}
@@ -287,8 +277,8 @@ type stagedReply struct {
 	reply proposeReply
 	// fenced marks a reply that externalizes durable state (a proposal
 	// acceptance: "your entry is in the leader's log") and must wait for
-	// the persist queue in pipelined mode. Redirects and read answers
-	// claim nothing the disk has to back, so they leave immediately.
+	// the persist queue. Redirects and read answers claim nothing the
+	// disk has to back, so they leave immediately.
 	fenced bool
 }
 
@@ -300,16 +290,16 @@ type proposeReq struct {
 }
 
 // tracedOp is the leader-side bookkeeping for one sampled proposal:
-// which trace produced the log entry at this index, when it was appended,
-// and when its local fsync completed (the network phase's start).
+// which trace produced the log entry at this index, and when it was
+// appended (the network phase's start).
 type tracedOp struct {
 	id       rtrace.ID
 	appended time.Time
-	synced   time.Time
 }
 
 type proposeReply struct {
 	index int
+	term  int // the accepting leader's term: the entry's term at index
 	err   error
 }
 
@@ -332,6 +322,7 @@ func NewNode(cfg Config) (*Node, error) {
 		relay:      make(map[int64]relayWait),
 		campaignCh: make(chan any, 1),
 		statusCh:   make(chan chan Status),
+		inspectCh:  make(chan func()),
 		stopped:    make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -366,16 +357,13 @@ func NewNode(cfg Config) (*Node, error) {
 			}
 		}
 	}
-	nd.applied = newAppliedNotifier(nd.hs.lastApplied)
-	nd.pipeApply = !cfg.SyncPipeline
-	nd.pipePersist = nd.pipeApply && cfg.Storage != nil
-	if nd.pipeApply {
-		nd.applyQ = make(chan applyItem, cfg.ApplyQueueDepth)
-		nd.applyErrCh = make(chan error, 1)
-		nd.compactCh = make(chan compactReq, 1)
-		nd.bootSnapIndex = nd.hs.log.snapIndex
-		nd.snapCache = snapCache{index: nd.hs.log.snapIndex, data: bootSnapData}
-	}
+	nd.applied = newAppliedNotifier(nd.hs.lastApplied, nd.hs.log.snapTerm)
+	nd.applyQ = make(chan applyItem, cfg.ApplyQueueDepth)
+	nd.applyErrCh = make(chan error, 1)
+	nd.compactCh = make(chan compactReq, 1)
+	nd.bootSnapIndex = nd.hs.log.snapIndex
+	nd.snapCache = snapCache{index: nd.hs.log.snapIndex, data: bootSnapData}
+	nd.pipePersist = cfg.Storage != nil
 	if nd.pipePersist {
 		nd.persistQ = make(chan persistReq, persistQueueCap)
 		// Sized past the queue cap so the worker's completion send never
@@ -384,22 +372,6 @@ func NewNode(cfg Config) (*Node, error) {
 		nd.durableIndex = nd.hs.log.lastIndex() // the restored log IS the disk
 	}
 	return nd, nil
-}
-
-// persistSnapshot durably records a compaction snapshot. Any staged log
-// mutations are flushed first so the record order on disk matches the
-// logical order of mutations.
-func (nd *Node) persistSnapshot(index, term int, data []byte) {
-	if nd.cfg.Storage == nil || nd.fatal != nil {
-		return
-	}
-	nd.flushPersist()
-	if nd.fatal != nil {
-		return
-	}
-	if err := nd.cfg.Storage.SaveSnapshot(index, term, data); err != nil {
-		nd.fatal = err
-	}
 }
 
 // persistState stages term and vote for the iteration's flush; on flush
@@ -420,91 +392,6 @@ func (nd *Node) persistLog(prevIndex int, entries []Entry) {
 	nd.pendingLog = append(nd.pendingLog, LogMutation{PrevIndex: prevIndex, Entries: entries})
 }
 
-// flushPersist applies the staged durable mutations: term/vote first
-// (scalar, last-write-wins on replay), then the log mutations as one
-// group-committed batch — a single fsync on FileStorage regardless of
-// how many messages and proposals this iteration coalesced.
-func (nd *Node) flushPersist() {
-	if nd.cfg.Storage == nil || nd.fatal != nil {
-		nd.stateDirty = false
-		nd.pendingLog = nd.pendingLog[:0]
-		// No storage means no fsync phase: traced ops' network phase
-		// starts at their append time instead.
-		nd.tracedUnsynced = nd.tracedUnsynced[:0]
-		return
-	}
-	if nd.stateDirty {
-		nd.stateDirty = false
-		if err := nd.cfg.Storage.SetState(nd.hs.currentTerm, nd.hs.votedFor); err != nil {
-			nd.fatal = err
-			nd.pendingLog = nd.pendingLog[:0]
-			return
-		}
-	}
-	if len(nd.pendingLog) > 0 {
-		nd.met.onStorageFlush(len(nd.pendingLog))
-		var t0 time.Time
-		if len(nd.tracedUnsynced) > 0 {
-			t0 = time.Now()
-		}
-		err := nd.cfg.Storage.AppendBatch(nd.pendingLog)
-		nd.pendingLog = nd.pendingLog[:0]
-		if len(nd.tracedUnsynced) > 0 {
-			// The group-committed batch shares one fsync; every traced op in
-			// it is attributed the full flush interval (they really did each
-			// wait that long). The width records whether other groups shared
-			// the covering device barrier too (sync coalescing).
-			t1 := time.Now()
-			width := barrierWidth(nd.cfg.Storage)
-			for _, idx := range nd.tracedUnsynced {
-				if op, ok := nd.traced[idx]; ok {
-					nd.cfg.Tracer.ObserveFsync(op.id, nd.cfg.ID, t0, t1, width)
-					op.synced = t1
-				}
-			}
-			nd.tracedUnsynced = nd.tracedUnsynced[:0]
-		}
-		if err != nil {
-			nd.fatal = err
-		}
-	}
-}
-
-// flush ends a main-loop iteration. In sync mode durable state hits
-// storage first, and only then do the staged sends and proposal replies
-// leave the node — the Raft rule that persistence precedes
-// externalization, preserved across batching. In pipelined mode the
-// same rule is enforced per message class instead (flushPipelined):
-// fenced externalizations ride the persist queue while everything else
-// departs immediately. A persistence failure drops the outbox (nothing
-// may be externalized over unpersisted state) and stops the node.
-func (nd *Node) flush() {
-	if nd.pipePersist {
-		nd.flushPipelined()
-		return
-	}
-	nd.flushPersist()
-	if nd.fatal != nil {
-		nd.outbox = nd.outbox[:0]
-		nd.replies = nd.replies[:0]
-		return
-	}
-	for _, m := range nd.outbox {
-		// Send failures mean we crashed or the network is gone; the
-		// receive pump will notice and stop the loop, so they are safe to
-		// drop here.
-		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
-	}
-	nd.outbox = nd.outbox[:0]
-	for _, r := range nd.replies {
-		r.ch <- r.reply
-	}
-	nd.replies = nd.replies[:0]
-	// A read round only coalesces joiners within the iteration whose
-	// flush carries its probe; later reads need a fresh round.
-	nd.curRound = nil
-}
-
 // Start launches the node's goroutines. The node runs until ctx is
 // cancelled or its endpoint dies (crash injection / network close).
 func (nd *Node) Start(ctx context.Context) {
@@ -512,10 +399,8 @@ func (nd *Node) Start(ctx context.Context) {
 	// loop's drain can coalesce a burst of messages into one iteration —
 	// one storage flush, one batch of sends.
 	msgCh := make(chan msgnet.Message, 4*maxMessageDrain)
-	if nd.pipeApply {
-		nd.workers.Add(1)
-		go nd.applyWorker()
-	}
+	nd.workers.Add(1)
+	go nd.applyWorker()
 	if nd.pipePersist {
 		nd.workers.Add(1)
 		go nd.persistWorker()
@@ -626,10 +511,13 @@ func (nd *Node) run(ctx context.Context, msgCh <-chan msgnet.Message) {
 		case ch := <-nd.statusCh:
 			ch <- nd.statusLocked()
 
-		// Pipeline completions (nil channels in sync mode — the cases
-		// then never fire): a persist batch landed (raise durableIndex,
-		// externalize its fenced bundle, count the self-ack), the apply
-		// worker offered a compaction snapshot, or it hit a fatal error.
+		case f := <-nd.inspectCh:
+			f()
+
+		// Worker completions: a persist batch landed (raise durableIndex,
+		// externalize its fenced bundle, count the self-ack; a nil channel
+		// without Storage), the apply worker offered a compaction
+		// snapshot, or it hit a fatal error.
 		case d := <-nd.persistDoneCh:
 			nd.onPersistDone(d)
 
@@ -773,6 +661,14 @@ func (nd *Node) Campaign(value any) {
 // the entry is in the leader's log, not yet that it is committed — watch
 // EventCommitted or the state machine for that.
 func (nd *Node) Propose(ctx context.Context, cmd any) (index int, err error) {
+	rep, err := nd.propose(ctx, cmd)
+	return rep.index, err
+}
+
+// propose is Propose that also reports the accepting leader's term: the
+// term the entry carries at its index, which lets Client.SubmitWait tell
+// its own entry from a replacement a later leader wrote there.
+func (nd *Node) propose(ctx context.Context, cmd any) (proposeReply, error) {
 	req := proposeReq{cmd: cmd, reply: make(chan proposeReply, 1)}
 	if id := rtrace.FromContext(ctx); id != 0 {
 		req.trace = id
@@ -781,17 +677,17 @@ func (nd *Node) Propose(ctx context.Context, cmd any) (index int, err error) {
 	select {
 	case nd.proposeCh <- req:
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		return proposeReply{}, ctx.Err()
 	case <-nd.stopped:
-		return 0, ErrStopped
+		return proposeReply{}, ErrStopped
 	}
 	select {
 	case rep := <-req.reply:
-		return rep.index, rep.err
+		return rep, rep.err
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		return proposeReply{}, ctx.Err()
 	case <-nd.stopped:
-		return 0, ErrStopped
+		return proposeReply{}, ErrStopped
 	}
 }
 
@@ -819,6 +715,40 @@ func (nd *Node) Status() Status {
 	}
 }
 
+// committedEntryIs reports whether the entry at index, which this node
+// has already applied, carries term — i.e. is the entry the term's
+// leader accepted there rather than a later leader's replacement.
+// Committed entries never change, so the answer is final. Once the
+// index is compacted only a snapshot taken in that same term still
+// decides it (by Log Matching, its log held the entry); otherwise the
+// outcome is unknown and reported as an error.
+func (nd *Node) committedEntryIs(index, term int) (bool, error) {
+	var ours bool
+	var err error
+	done := make(chan struct{})
+	f := func() {
+		defer close(done)
+		l := &nd.hs.log
+		t, ok := l.termAt(index)
+		switch {
+		case ok:
+			ours = t == term
+		case index < l.snapIndex && l.snapTerm == term:
+			ours = true
+		default:
+			err = fmt.Errorf("raft: cannot tell whose entry committed at %d (log holds (%d, %d], snapshot term %d); outcome unknown",
+				index, l.snapIndex, l.lastIndex(), l.snapTerm)
+		}
+	}
+	select {
+	case nd.inspectCh <- f:
+		<-done
+		return ours, err
+	case <-nd.stopped:
+		return false, ErrStopped
+	}
+}
+
 func (nd *Node) statusLocked() Status {
 	return Status{
 		ID:            nd.cfg.ID,
@@ -826,7 +756,7 @@ func (nd *Node) statusLocked() Status {
 		State:         nd.hs.state,
 		LeaderID:      nd.hs.leaderID,
 		CommitIndex:   nd.hs.commitIndex,
-		LastApplied:   nd.appliedView(),
+		LastApplied:   nd.applied.current(),
 		LogLength:     nd.hs.log.lastIndex(),
 		LastLogTerm:   nd.hs.log.lastTerm(),
 		SnapshotIndex: nd.hs.log.snapIndex,
@@ -1110,14 +1040,10 @@ func (nd *Node) becomeLeader() {
 	nd.hs.state = Leader
 	nd.hs.leaderID = nd.cfg.ID
 	nd.ls = newLeaderState(nd.n, nd.hs.log.lastIndex())
-	if nd.pipePersist {
-		// The self-ack is the disk's, not the in-memory log's: entries
-		// still in the persist queue count toward quorum only when their
-		// batch lands (onPersistDone).
-		nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
-	} else {
-		nd.ls.matchIndex[nd.cfg.ID] = nd.hs.log.lastIndex()
-	}
+	// The self-ack is the disk's, not the in-memory log's: entries still
+	// in the persist queue count toward quorum only when their batch
+	// lands (onPersistDone).
+	nd.ls.matchIndex[nd.cfg.ID] = nd.durableIndex
 	nd.emit(Event{Kind: EventBecameLeader, Node: nd.cfg.ID, Term: nd.hs.currentTerm})
 	nd.cfg.Recorder.Note(nd.cfg.ID, "raft: leader of term %d", nd.hs.currentTerm)
 
@@ -1157,7 +1083,7 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 	first := nd.appendLocalBatch(cmds)
 	var drained time.Time // one clock read even if several proposals are sampled
 	for i, r := range reqs {
-		nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: first + i}, fenced: true})
+		nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: first + i, term: nd.hs.currentTerm}, fenced: true})
 		if r.trace != 0 {
 			if drained.IsZero() {
 				drained = time.Now()
@@ -1167,7 +1093,9 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 				nd.traced = make(map[int]*tracedOp)
 			}
 			nd.traced[first+i] = &tracedOp{id: r.trace, appended: drained}
-			nd.tracedUnsynced = append(nd.tracedUnsynced, first+i)
+			if nd.pipePersist {
+				nd.tracedUnsynced = append(nd.tracedUnsynced, first+i)
+			}
 		}
 	}
 	nd.cfg.Flight.Record(rtrace.EvProposeBatch, 0, int64(len(reqs)), int64(nd.hs.log.lastIndex()), "")
@@ -1186,9 +1114,8 @@ func (nd *Node) appendLocalBatch(cmds []any) int {
 	last := nd.hs.log.lastIndex()
 	nd.persistLog(first-1, nd.hs.log.slice(first))
 	if !nd.pipePersist {
-		// Pipelined, the leader's self-ack lands with its fsync: see
-		// onPersistDone. Here the inline flush below makes it durable
-		// before anything externalizes, so the ack is immediate.
+		// Without Storage there is no disk to wait for, so the self-ack
+		// is immediate; otherwise it lands with the fsync (onPersistDone).
 		nd.ls.matchIndex[nd.cfg.ID] = last
 	}
 	for idx := first; idx <= last; idx++ {
@@ -1316,29 +1243,17 @@ func (nd *Node) broadcastHeartbeat() {
 // sendSnapshot ships the current state-machine snapshot to a follower
 // whose next entry has been compacted away.
 func (nd *Node) sendSnapshot(to int) {
-	snap, ok := nd.cfg.StateMachine.(Snapshotter)
-	if !ok {
+	if _, ok := nd.cfg.StateMachine.(Snapshotter); !ok {
 		// Compaction only happens with a Snapshotter, so this is
 		// unreachable unless the log was restored inconsistently.
 		nd.cfg.Recorder.Note(nd.cfg.ID, "raft: cannot snapshot: state machine is not a Snapshotter")
 		return
 	}
-	var data []byte
-	if nd.pipeApply {
-		// The apply worker may be mid-Apply: use the cached payload that
-		// every snapIndex move refreshed rather than racing SnapshotData.
-		if nd.snapCache.index != nd.hs.log.snapIndex {
-			nd.cfg.Recorder.Note(nd.cfg.ID, "raft: no cached snapshot at %d; deferring send", nd.hs.log.snapIndex)
-			return
-		}
-		data = nd.snapCache.data
-	} else {
-		var err error
-		data, err = snap.SnapshotData()
-		if err != nil {
-			nd.fatal = fmt.Errorf("raft: snapshot: %w", err)
-			return
-		}
+	// The apply worker may be mid-Apply: use the cached payload that
+	// every snapIndex move refreshed rather than racing SnapshotData.
+	if nd.snapCache.index != nd.hs.log.snapIndex {
+		nd.cfg.Recorder.Note(nd.cfg.ID, "raft: no cached snapshot at %d; deferring send", nd.hs.log.snapIndex)
+		return
 	}
 	nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(nd.hs.log.snapIndex), int64(to), "send")
 	nd.send(to, InstallSnapshot{
@@ -1346,7 +1261,7 @@ func (nd *Node) sendSnapshot(to int) {
 		LeaderID:          nd.cfg.ID,
 		LastIncludedIndex: nd.hs.log.snapIndex,
 		LastIncludedTerm:  nd.hs.log.snapTerm,
-		Data:              data,
+		Data:              nd.snapCache.data,
 	})
 }
 
@@ -1373,69 +1288,24 @@ func (nd *Node) onInstallSnapshot(from int, m InstallSnapshot) {
 		nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: nd.hs.commitIndex})
 		return
 	}
-	snap, ok := nd.cfg.StateMachine.(Snapshotter)
-	if !ok {
+	if _, ok := nd.cfg.StateMachine.(Snapshotter); !ok {
 		nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: false})
 		return
 	}
 	nd.cfg.Flight.Record(rtrace.EvSnapshot, 0, int64(m.LastIncludedIndex), int64(from), "install")
-	if nd.pipeApply {
-		// The state machine belongs to the apply worker: the restore
-		// rides the queue (ordered after any still-queued apply batches),
-		// the durable record rides the persist queue, and the fenced ack
-		// below departs only once that record is on disk.
-		nd.hs.log.restoreSnapshot(m.LastIncludedIndex, m.LastIncludedTerm)
-		if nd.pipePersist {
-			nd.stageSnapshot(m.LastIncludedIndex, m.LastIncludedTerm, m.Data)
-		}
-		nd.hs.commitIndex = m.LastIncludedIndex
-		nd.hs.lastApplied = m.LastIncludedIndex
-		nd.snapCache = snapCache{index: m.LastIncludedIndex, data: m.Data}
-		nd.enqueueApply(applyItem{term: nd.hs.currentTerm, restore: &snapStage{index: m.LastIncludedIndex, term: m.LastIncludedTerm, data: m.Data}})
-		nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: m.LastIncludedIndex})
-		return
-	}
-	if err := snap.RestoreSnapshot(m.LastIncludedIndex, m.Data); err != nil {
-		nd.fatal = fmt.Errorf("raft: install snapshot: %w", err)
-		return
-	}
+	// The state machine belongs to the apply worker: the restore rides the
+	// queue (ordered after any still-queued apply batches), the durable
+	// record rides the persist queue, and the fenced ack below departs
+	// only once that record is on disk.
 	nd.hs.log.restoreSnapshot(m.LastIncludedIndex, m.LastIncludedTerm)
-	nd.persistSnapshot(m.LastIncludedIndex, m.LastIncludedTerm, m.Data)
+	if nd.pipePersist {
+		nd.stageSnapshot(m.LastIncludedIndex, m.LastIncludedTerm, m.Data)
+	}
 	nd.hs.commitIndex = m.LastIncludedIndex
 	nd.hs.lastApplied = m.LastIncludedIndex
-	nd.applied.advance(nd.hs.lastApplied)
-	nd.drainApplyWaits()
-	nd.emit(Event{Kind: EventApplied, Node: nd.cfg.ID, Term: nd.hs.currentTerm, Index: m.LastIncludedIndex, Command: nil})
+	nd.snapCache = snapCache{index: m.LastIncludedIndex, data: m.Data}
+	nd.enqueueApply(applyItem{term: nd.hs.currentTerm, restore: &snapStage{index: m.LastIncludedIndex, term: m.LastIncludedTerm, data: m.Data}})
 	nd.send(from, AppendEntriesReply{Term: nd.hs.currentTerm, Success: true, MatchIndex: m.LastIncludedIndex})
-}
-
-// maybeCompact snapshots the state machine and discards the applied log
-// prefix once it exceeds the configured threshold. Sync mode only: the
-// pipelined path drives compaction from the apply worker
-// (maybeCompactAsync → compactCh → onCompactReady), which is the only
-// goroutine that can capture a consistent SnapshotData.
-func (nd *Node) maybeCompact() {
-	if nd.cfg.SnapshotThreshold <= 0 || nd.pipeApply {
-		return
-	}
-	if nd.hs.lastApplied-nd.hs.log.snapIndex < nd.cfg.SnapshotThreshold {
-		return
-	}
-	snap, ok := nd.cfg.StateMachine.(Snapshotter)
-	if !ok {
-		return
-	}
-	nd.met.onSnapshot()
-	nd.hs.log.compactTo(nd.hs.lastApplied)
-	if nd.cfg.Storage != nil {
-		data, err := snap.SnapshotData()
-		if err != nil {
-			nd.fatal = fmt.Errorf("raft: snapshot: %w", err)
-			return
-		}
-		nd.persistSnapshot(nd.hs.log.snapIndex, nd.hs.log.snapTerm, data)
-	}
-	nd.cfg.Recorder.Note(nd.cfg.ID, "raft: compacted through index %d", nd.hs.log.snapIndex)
 }
 
 // advanceCommit implements the leader commit rule: the largest N with a
@@ -1462,7 +1332,7 @@ func (nd *Node) advanceCommit() {
 }
 
 // setCommitIndex raises the commit index, emitting per-entry commit
-// events and applying to the state machine.
+// events and handing the newly committed range to the apply worker.
 func (nd *Node) setCommitIndex(index int) {
 	if index <= nd.hs.commitIndex {
 		return
@@ -1471,52 +1341,16 @@ func (nd *Node) setCommitIndex(index int) {
 	nd.hs.commitIndex = index
 	nd.met.onCommit(old, index)
 	nd.cfg.Flight.Record(rtrace.EvCommit, 0, int64(index), int64(nd.hs.currentTerm), "")
-	var committed time.Time
-	if len(nd.traced) > 0 {
-		committed = time.Now()
-	}
 	for i := old + 1; i <= index; i++ {
 		e, _ := nd.hs.log.entryAt(i)
 		nd.emit(Event{Kind: EventCommitted, Node: nd.cfg.ID, Term: nd.hs.currentTerm, Index: i, Command: e.Command})
 	}
-	if nd.pipeApply {
-		if nd.pipePersist && nd.hs.state == Leader {
-			// Overlap attribution: did the quorum outrun the local disk?
-			nd.met.onCommitOverlap(nd.durableIndex < index)
-		}
-		nd.enqueueApplyEntries(old, index)
-		nd.dispatchEarlyReads()
-		return
+	if nd.pipePersist && nd.hs.state == Leader {
+		// Overlap attribution: did the quorum outrun the local disk?
+		nd.met.onCommitOverlap(nd.durableIndex < index)
 	}
-	for nd.hs.lastApplied < nd.hs.commitIndex {
-		nd.hs.lastApplied++
-		e, _ := nd.hs.log.entryAt(nd.hs.lastApplied)
-		if nd.cfg.StateMachine != nil {
-			nd.cfg.StateMachine.Apply(nd.hs.lastApplied, e.Command)
-		}
-		nd.met.onApply()
-		nd.emit(Event{Kind: EventApplied, Node: nd.cfg.ID, Term: nd.hs.currentTerm, Index: nd.hs.lastApplied, Command: e.Command})
-	}
-	if !committed.IsZero() {
-		// Close the traced window: network = fsync-done (or append) to
-		// quorum commit, apply = commit to state-machine application.
-		applied := time.Now()
-		for i := old + 1; i <= index; i++ {
-			if op, ok := nd.traced[i]; ok {
-				start := op.synced
-				if start.IsZero() {
-					start = op.appended
-				}
-				nd.cfg.Tracer.ObservePhase(op.id, rtrace.PhaseNetwork, nd.cfg.ID, start, committed)
-				nd.cfg.Tracer.ObservePhase(op.id, rtrace.PhaseApply, nd.cfg.ID, committed, applied)
-				delete(nd.traced, i)
-			}
-		}
-	}
-	nd.applied.advance(nd.hs.lastApplied)
-	nd.drainApplyWaits()
+	nd.enqueueApplyEntries(old, index)
 	nd.dispatchEarlyReads()
-	nd.maybeCompact()
 }
 
 func min(a, b int) int {

@@ -1,15 +1,15 @@
 package raft
 
-// The pipelined write path (the default; Config.SyncPipeline restores
-// the fully ordered one). Two worker goroutines take the blocking halves
-// of the old main-loop iteration off the critical path:
+// The write path. Two worker goroutines keep the blocking halves of a
+// main-loop iteration off the critical path:
 //
 //   - The persist worker owns every Storage call after boot. The main
-//     loop stages durable mutations exactly as before, but flush() hands
-//     them to the worker instead of fsyncing inline, so AppendEntries
-//     broadcasts depart while the leader's own disk is still syncing.
-//     Commit latency becomes max(leader fsync, follower RTT+fsync)
-//     instead of their sum.
+//     loop stages durable mutations, and flush() hands them to the
+//     worker instead of fsyncing inline, so AppendEntries broadcasts
+//     depart while the leader's own disk is still syncing. Commit
+//     latency is max(leader fsync, follower RTT+fsync), not their sum.
+//     A node without Storage runs no persist worker: nothing is fenced,
+//     and the leader's self-ack is immediate.
 //   - The apply worker owns StateMachine.Apply, the applied notifier,
 //     and the applied≥readIndex waits, so the main loop can persist and
 //     replicate batch N+1 while batch N applies.
@@ -146,11 +146,12 @@ func fencedMsg(payload any) bool {
 	return false
 }
 
-// flushPipelined is flush() for the pipelined persist path: unfenced
-// sends and replies leave immediately; durable mutations and fenced
-// externalizations become one persist request. With nothing durable in
-// flight the fence is already satisfied and everything leaves at once.
-func (nd *Node) flushPipelined() {
+// flush ends a main-loop iteration: unfenced sends and replies leave
+// immediately; durable mutations and fenced externalizations become one
+// persist request. With nothing durable in flight (always, without
+// Storage) the fence is already satisfied and everything leaves at once.
+// After a persistence failure nothing externalizes and the node stops.
+func (nd *Node) flush() {
 	if nd.fatal != nil {
 		nd.stateDirty = false
 		nd.pendingLog = nil
@@ -449,7 +450,7 @@ func (nd *Node) enqueueApplyEntries(old, index int) {
 // SnapshotData concurrently with applies).
 func (nd *Node) applyWorker() {
 	defer nd.workers.Done()
-	applied := nd.applied.current()
+	applied, appliedTerm := nd.applied.last()
 	snapBase := nd.bootSnapIndex
 	var waits []applyWait
 	dead := false // a fatal error was reported; drain without applying
@@ -472,7 +473,7 @@ func (nd *Node) applyWorker() {
 					dead = nd.applyFatal(fmt.Errorf("raft: install snapshot: %w", err))
 					continue
 				}
-				applied = it.restore.index
+				applied, appliedTerm = it.restore.index, it.restore.term
 				snapBase = it.restore.index
 				nd.emit(Event{Kind: EventApplied, Node: nd.cfg.ID, Term: it.term, Index: applied, Command: nil})
 			default:
@@ -485,7 +486,7 @@ func (nd *Node) applyWorker() {
 					nd.emit(Event{Kind: EventApplied, Node: nd.cfg.ID, Term: it.term, Index: idx, Command: e.Command})
 				}
 				if n := it.first + len(it.entries) - 1; n > applied {
-					applied = n
+					applied, appliedTerm = n, it.entries[len(it.entries)-1].Term
 				}
 				if len(it.traced) > 0 {
 					now := time.Now()
@@ -494,7 +495,7 @@ func (nd *Node) applyWorker() {
 					}
 				}
 			}
-			nd.applied.advance(applied)
+			nd.applied.advance(applied, appliedTerm)
 			waits = releaseApplyWaits(nd, waits, applied)
 			snapBase = nd.maybeCompactAsync(applied, snapBase)
 		case <-nd.stopped:
@@ -578,14 +579,4 @@ func (nd *Node) applyFatal(err error) bool {
 	default:
 	}
 	return true
-}
-
-// appliedView is the applied index the main loop may externalize: the
-// notifier's published value in pipelined mode (the apply worker is the
-// authority), hs.lastApplied in sync mode.
-func (nd *Node) appliedView() int {
-	if nd.pipeApply {
-		return nd.applied.current()
-	}
-	return nd.hs.lastApplied
 }

@@ -37,7 +37,7 @@ type hardState struct {
 	votedFor    int // candidate voted for in currentTerm; none if unset
 	log         raftLog
 	commitIndex int
-	lastApplied int
+	lastApplied int // handed to the apply worker; Node.applied publishes what it applied
 	state       State
 	leaderID    int // last known leader of currentTerm; none if unknown
 }

@@ -21,10 +21,9 @@ import (
 // and rebuilt from the leader after restart.
 //
 // Implementations must be safe for use from one goroutine at a time:
-// every write lands on the node's persist worker under the default
-// pipelined path (the main loop under Config.SyncPipeline), and Load
-// runs once in NewNode before that goroutine exists. They need not be
-// safe for concurrent nodes.
+// every write lands on the node's persist worker, and Load runs once in
+// NewNode before that goroutine exists. They need not be safe for
+// concurrent nodes.
 type Storage interface {
 	// SetState durably records the term and vote.
 	SetState(term, votedFor int) error
@@ -307,23 +306,22 @@ func (s *FileStorage) LastBarrierWidth() int {
 }
 
 // encodeRecord appends one framed record to the buffered writer without
-// flushing. The payload — [version][kind][varint fields] — is built in
-// the store's reusable scratch buffer, so a steady-state append performs
-// no heap allocation; each frame is self-contained (its own length and
-// checksum) so Load can validate records independently.
+// flushing. The whole frame — an 8-byte header reserved up front, then
+// the payload [version][kind][varint fields] — is built in the store's
+// reusable scratch buffer and written with one call, so a steady-state
+// append performs no heap allocation (a header in its own array would
+// escape through the writer). Each frame is self-contained (its own
+// length and checksum) so Load can validate records independently.
 func (s *FileStorage) encodeRecord(r record) error {
-	payload, err := appendRecord(s.scratch[:0], r)
+	frame, err := appendRecord(append(s.scratch[:0], make([]byte, frameHeaderSize)...), r)
 	if err != nil {
 		return fmt.Errorf("raft: persist: %w", err)
 	}
-	s.scratch = payload // keep any growth for the next record
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := s.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("raft: persist: %w", err)
-	}
-	if _, err := s.w.Write(payload); err != nil {
+	s.scratch = frame // keep any growth for the next record
+	payload := frame[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := s.w.Write(frame); err != nil {
 		return fmt.Errorf("raft: persist: %w", err)
 	}
 	return nil

@@ -138,7 +138,8 @@ func BenchmarkFileStorageAppend(b *testing.B) {
 
 // TestRecordEncodeZeroAlloc is the acceptance gate for the disk layer:
 // a warmed scratch buffer means appending a steady-state log record
-// performs no heap allocation at all.
+// performs no heap allocation at all — neither the payload encode nor
+// the framed write into a warmed store's buffered writer.
 func TestRecordEncodeZeroAlloc(t *testing.T) {
 	rec := record{Kind: recordLog, PrevIndex: 7, Entries: benchEntries(8)}
 	scratch := make([]byte, 0, 1<<16)
@@ -151,6 +152,23 @@ func TestRecordEncodeZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("record encode allocates %.1f/op; want 0", allocs)
+	}
+
+	s, err := OpenFileStorage(filepath.Join(t.TempDir(), "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	if err := s.encodeRecord(rec); err != nil { // warm the scratch buffer
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := s.encodeRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("FileStorage.encodeRecord allocates %.1f/op; want 0", allocs)
 	}
 }
 

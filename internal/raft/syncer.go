@@ -71,10 +71,6 @@ type SyncerConfig struct {
 	// Nil means "real device only": per-file fsyncs still happen, the
 	// modeled barrier is free.
 	Disk *Disk
-	// PerGroup disables coalescing: every Sync pays its own device
-	// barrier, serialized through Disk. This is the pre-PR10 baseline,
-	// kept in-binary for A/B runs (raftkv -sync-coalesce=false).
-	PerGroup bool
 	// Metrics, if non-nil, registers the syncer's instruments
 	// (raft_sync_requests_total, raft_sync_barriers_total,
 	// raft_sync_coalesced_total, raft_sync_barrier_width), labeled by
@@ -102,8 +98,7 @@ type SyncerConfig struct {
 // Errors stay per-group: each covered request carries the error from its
 // own file's fsync, so one group's bad fd fails only that group.
 type SyncCoalescer struct {
-	disk     *Disk
-	perGroup bool
+	disk *Disk
 
 	mu      sync.Mutex
 	busy    bool // a barrier round is in flight
@@ -126,7 +121,7 @@ type SyncCoalescer struct {
 // NewSyncCoalescer builds a per-node syncer. One instance serves every
 // group on the node; Sync is safe for concurrent use.
 func NewSyncCoalescer(cfg SyncerConfig) *SyncCoalescer {
-	c := &SyncCoalescer{disk: cfg.Disk, perGroup: cfg.PerGroup, node: cfg.Node}
+	c := &SyncCoalescer{disk: cfg.Disk, node: cfg.Node}
 	if reg := cfg.Metrics; reg != nil {
 		node := strconv.Itoa(cfg.Node)
 		c.metricsOn = true
@@ -138,19 +133,15 @@ func NewSyncCoalescer(cfg SyncerConfig) *SyncCoalescer {
 	return c
 }
 
-// PerGroup reports whether coalescing is disabled (the A/B baseline).
-func (c *SyncCoalescer) PerGroup() bool { return c.perGroup }
-
 // Requests reports how many Sync calls the syncer has served.
 func (c *SyncCoalescer) Requests() int64 { return c.requests.Load() }
 
-// Barriers reports how many device barriers were paid. With coalescing
-// this is the node-wide fsync count E18 divides by ops; per-group mode
-// pins it equal to Requests.
+// Barriers reports how many device barriers were paid: the node-wide
+// fsync count E18 divides by ops.
 func (c *SyncCoalescer) Barriers() int64 { return c.barriers.Load() }
 
 // Coalesced reports how many requests rode another request's barrier
-// (Requests − Barriers in coalesced mode).
+// (Requests − Barriers).
 func (c *SyncCoalescer) Coalesced() int64 { return c.coalesced.Load() }
 
 // Sync makes t durable and returns the width of the barrier that covered
@@ -161,12 +152,6 @@ func (c *SyncCoalescer) Sync(t SyncTarget) (int, error) {
 	c.requests.Add(1)
 	if c.metricsOn {
 		c.reqsC.Inc(c.node)
-	}
-	if c.perGroup {
-		err := t.SyncDevice()
-		c.disk.Barrier()
-		c.observeBarrier(1)
-		return 1, err
 	}
 	c.mu.Lock()
 	if !c.busy {

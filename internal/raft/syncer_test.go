@@ -210,31 +210,6 @@ func TestSyncerHandoffPromotesLateArrival(t *testing.T) {
 	}
 }
 
-// PerGroup mode is the uncoalesced baseline: every request pays its own
-// barrier even under contention.
-func TestSyncerPerGroupNeverCoalesces(t *testing.T) {
-	c := NewSyncCoalescer(SyncerConfig{PerGroup: true})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tgt := &fakeTarget{}
-			for j := 0; j < 25; j++ {
-				width, err := c.Sync(tgt)
-				if err != nil || width != 1 {
-					panic("per-group sync must be width 1 and error-free")
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Requests() != 200 || c.Barriers() != 200 || c.Coalesced() != 0 {
-		t.Fatalf("requests/barriers/coalesced = %d/%d/%d, want 200/200/0",
-			c.Requests(), c.Barriers(), c.Coalesced())
-	}
-}
-
 // Uncontended Sync allocates nothing: the single-group degenerate case
 // must not pay for machinery it doesn't use.
 func TestSyncerUncontendedPathAllocFree(t *testing.T) {

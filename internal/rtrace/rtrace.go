@@ -43,13 +43,11 @@ type ID uint64
 
 // Phase labels one interval of a request's life. The four phases are the
 // latency-attribution buckets the acceptance criteria sum against the
-// end-to-end time. Under the sync write path they are disjoint by
-// construction (each is measured between distinct points of the single
-// leader loop); under the pipelined path (PR9) fsync and network are
-// stamped independently — the persist worker stamps fsync around the
-// actual AppendBatch while the main loop stamps network append→commit —
-// so the two intervals OVERLAP when the pipeline is doing its job, and
-// AttributedTotal may exceed Elapsed. Renderers must treat phases as
+// end-to-end time. Fsync and network are stamped independently — the
+// persist worker stamps fsync around the actual AppendBatch while the
+// main loop stamps network append→commit — so the two intervals OVERLAP
+// when the pipeline is doing its job, and AttributedTotal may exceed
+// Elapsed. Renderers must treat phases as
 // intervals on a shared timeline, not as a sequential breakdown.
 type Phase uint8
 

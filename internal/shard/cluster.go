@@ -42,23 +42,14 @@ type Config struct {
 	// ReadMode is the default consistency Get uses (zero =
 	// ReadLinearizable).
 	ReadMode raft.ReadConsistency
-	// SyncPipeline, passed through to every node, restores the fully
-	// ordered single-goroutine write path (raft.Config.SyncPipeline) —
-	// the setting the determinism suites run under.
-	SyncPipeline bool
 	// ClientBackoff is each group client's base retry pause (default
 	// 1ms — the closed-loop benchmark setting).
 	ClientBackoff time.Duration
 	// Storage, if non-nil, supplies each (node, shard) replica's
-	// persistence; nil runs every group unpersisted.
+	// persistence; nil runs every group unpersisted. With Storage set,
+	// each node runs one raft.SyncCoalescer under all of its groups, so
+	// K concurrent group flushes share one device barrier.
 	Storage func(node, shard int) (raft.Storage, error)
-	// PerGroupFsync disables cross-group sync coalescing, restoring the
-	// pre-PR10 baseline where every group's flush pays its own device
-	// barrier (serialized at the shared Disk when DeviceLatency > 0).
-	// The zero value coalesces: each node runs one raft.SyncCoalescer
-	// under all of its groups, so K concurrent group flushes share one
-	// barrier. Only meaningful with Storage set.
-	PerGroupFsync bool
 	// DeviceLatency, when > 0, models each node's shared storage device:
 	// every durability barrier on the node — from any group — pays this
 	// latency through one raft.Disk, and concurrent barriers serialize
@@ -266,10 +257,9 @@ func (c *Cluster) Start(ctx context.Context) error {
 		c.syncers = make([]*raft.SyncCoalescer, c.n)
 		for id := 0; id < c.n; id++ {
 			c.syncers[id] = raft.NewSyncCoalescer(raft.SyncerConfig{
-				Disk:     raft.NewDisk(c.cfg.DeviceLatency),
-				PerGroup: c.cfg.PerGroupFsync,
-				Metrics:  c.cfg.Metrics,
-				Node:     id,
+				Disk:    raft.NewDisk(c.cfg.DeviceLatency),
+				Metrics: c.cfg.Metrics,
+				Node:    id,
 			})
 		}
 	}
@@ -320,7 +310,6 @@ func (c *Cluster) Start(ctx context.Context) error {
 				MaxEntriesPerAppend: c.cfg.MaxEntriesPerAppend,
 				MaxInflightAppends:  c.cfg.MaxInflightAppends,
 				MaxProposalBatch:    c.cfg.MaxProposalBatch,
-				SyncPipeline:        c.cfg.SyncPipeline,
 				Syncer:              syncer,
 			})
 			if err != nil {

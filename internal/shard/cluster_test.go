@@ -61,7 +61,7 @@ const (
 // client, waits until every replica of every shard has applied all the
 // commands routed to it, and returns each (shard, node) replica's
 // recorded command sequence. Optional modifiers adjust the cluster
-// config (storage backend, fsync mode) before boot; the cluster is
+// config (the storage backend) before boot; the cluster is
 // fully stopped before returning, so modifier-owned resources (files)
 // are safe to close afterwards.
 func runSeeded(t *testing.T, seed uint64, nodes, shards, ops int, mods ...func(*shard.Config)) [][][]string {
@@ -79,10 +79,6 @@ func runSeeded(t *testing.T, seed uint64, nodes, shards, ops int, mods ...func(*
 		RNG:               sim.NewRNG(seed),
 		ElectionTimeout:   testElection,
 		HeartbeatInterval: testHeartbeat,
-		// Byte-identical per-seed sequences need the fully ordered write
-		// path: the pipelined workers run on wall-clock goroutines, whose
-		// scheduling perturbs batching between same-seed runs.
-		SyncPipeline: true,
 		StateMachine: func(node, s int) raft.StateMachine {
 			sms[s][node] = &recordingSM{}
 			return sms[s][node]
@@ -141,10 +137,9 @@ func runSeeded(t *testing.T, seed uint64, nodes, shards, ops int, mods ...func(*
 }
 
 // runSeededDisk is runSeeded on FileStorage: every (node, shard) replica
-// persists to its own log under a temp dir, and perGroup selects the
-// fsync mode — false routes every flush through the node's shared
-// SyncCoalescer (PR10), true keeps the uncoalesced baseline.
-func runSeededDisk(t *testing.T, seed uint64, nodes, shards, ops int, perGroup bool) [][][]string {
+// persists to its own log under a temp dir, and every flush rides the
+// node's shared SyncCoalescer.
+func runSeededDisk(t *testing.T, seed uint64, nodes, shards, ops int) [][][]string {
 	t.Helper()
 	dir := t.TempDir()
 	var (
@@ -152,7 +147,6 @@ func runSeededDisk(t *testing.T, seed uint64, nodes, shards, ops int, perGroup b
 		files   []*raft.FileStorage
 	)
 	out := runSeeded(t, seed, nodes, shards, ops, func(cfg *shard.Config) {
-		cfg.PerGroupFsync = perGroup
 		cfg.Storage = func(node, s int) (raft.Storage, error) {
 			fs, err := raft.OpenFileStorage(fmt.Sprintf("%s/node-%d-shard-%d.log", dir, node, s))
 			if err != nil {
@@ -176,10 +170,12 @@ func runSeededDisk(t *testing.T, seed uint64, nodes, shards, ops int, perGroup b
 	return out
 }
 
-// TestClusterDeterministicCommitSequences is the satellite's determinism
-// check: the same seed yields byte-identical per-shard commit sequences
-// across independent runs, and within one run every replica of a shard
-// applies exactly the same sequence (the replication invariant).
+// TestClusterDeterministicCommitSequences is the determinism check: the
+// same seed yields byte-identical per-shard commit sequences across
+// independent runs, and within one run every replica of a shard applies
+// exactly the same sequence (the replication invariant). The workers
+// run on wall-clock goroutines, so batching varies between same-seed
+// runs; with one sequential client it never reorders a shard's commands.
 func TestClusterDeterministicCommitSequences(t *testing.T) {
 	const nodes, shards, ops = 3, 4, 120
 	a := runSeeded(t, 42, nodes, shards, ops)
@@ -200,15 +196,15 @@ func TestClusterDeterministicCommitSequences(t *testing.T) {
 }
 
 // TestClusterCoalescedFsyncDeterminism extends the determinism check to
-// the shared-disk group-commit path (PR10): with every replica on
-// FileStorage, a seed must yield identical per-shard commit sequences
-// whether the node's flushes ride coalesced device barriers or the
-// per-group baseline — barrier timing may move fsyncs between batches,
+// the shared-disk group-commit path: with every replica on FileStorage
+// behind its node's SyncCoalescer, a seed must yield the same per-shard
+// commit sequences as the same seed with no storage at all — barrier
+// timing may move fsyncs between batches and fence replies behind them,
 // but it must never reorder a shard's committed commands.
 func TestClusterCoalescedFsyncDeterminism(t *testing.T) {
 	const nodes, shards, ops = 3, 4, 80
-	coalesced := runSeededDisk(t, 42, nodes, shards, ops, false)
-	baseline := runSeededDisk(t, 42, nodes, shards, ops, true)
+	coalesced := runSeededDisk(t, 42, nodes, shards, ops)
+	baseline := runSeeded(t, 42, nodes, shards, ops)
 	for s := 0; s < shards; s++ {
 		for id := 1; id < nodes; id++ {
 			if !reflect.DeepEqual(coalesced[s][0], coalesced[s][id]) {
@@ -216,7 +212,7 @@ func TestClusterCoalescedFsyncDeterminism(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(coalesced[s][0], baseline[s][0]) {
-			t.Fatalf("shard %d commit sequence differs between fsync modes:\ncoalesced: %v\nper-group: %v",
+			t.Fatalf("shard %d commit sequence differs with storage:\ncoalesced: %v\nno storage: %v",
 				s, coalesced[s][0], baseline[s][0])
 		}
 		if len(coalesced[s][0]) == 0 {
