@@ -516,12 +516,13 @@ func BenchmarkE12SharedMemory(b *testing.B) {
 func BenchmarkE14RaftThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunRaftThroughput(bench.ThroughputConfig{
-			Nodes:       3,
-			Clients:     8,
-			Duration:    200 * time.Millisecond,
-			Seed:        uint64(i) + 1,
-			FileStorage: true,
+		res, err := bench.RunKV(bench.KVConfig{
+			Nodes:           3,
+			Shards:          1,
+			ClientsPerShard: 8,
+			Duration:        200 * time.Millisecond,
+			Seed:            uint64(i) + 1,
+			FileStorage:     true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -541,7 +542,7 @@ func BenchmarkE14RaftThroughput(b *testing.B) {
 func BenchmarkE16MultiShard(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunMultiShard(bench.MultiShardConfig{
+		res, err := bench.RunKV(bench.KVConfig{
 			Nodes:           3,
 			Shards:          2,
 			ClientsPerShard: 8,
@@ -576,7 +577,7 @@ func BenchmarkE16MultiShard(b *testing.B) {
 func BenchmarkE18GroupCommit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunMultiShard(bench.MultiShardConfig{
+		res, err := bench.RunKV(bench.KVConfig{
 			Nodes:           3,
 			Shards:          4,
 			ClientsPerShard: 1,
@@ -608,16 +609,17 @@ func BenchmarkE18GroupCommit(b *testing.B) {
 func BenchmarkE15ReadFastPath(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunRaftThroughput(bench.ThroughputConfig{
-			Nodes:         3,
-			Clients:       8,
-			Duration:      200 * time.Millisecond,
-			Seed:          uint64(i) + 1,
-			FileStorage:   true,
-			ReadRatio:     0.9,
-			ReadMode:      raft.ReadLease,
-			LeaseDuration: 15 * time.Millisecond,
-			Keys:          256,
+		res, err := bench.RunKV(bench.KVConfig{
+			Nodes:           3,
+			Shards:          1,
+			ClientsPerShard: 8,
+			Duration:        200 * time.Millisecond,
+			Seed:            uint64(i) + 1,
+			FileStorage:     true,
+			ReadRatio:       0.9,
+			ReadMode:        raft.ReadLease,
+			LeaseDuration:   15 * time.Millisecond,
+			Keys:            256,
 		})
 		if err != nil {
 			b.Fatal(err)

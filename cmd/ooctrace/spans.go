@@ -52,8 +52,9 @@ type spanSummary struct {
 	Fsync      time.Duration `json:"fsync_ns"`
 	Network    time.Duration `json:"network_ns"`
 	Apply      time.Duration `json:"apply_ns"`
-	Attributed time.Duration `json:"attributed_ns"`
-	Coverage   float64       `json:"coverage"` // attributed / elapsed
+	Attributed time.Duration `json:"attributed_ns"` // sum of every interval
+	Covered    time.Duration `json:"covered_ns"`    // their union, clipped to the span
+	Coverage   float64       `json:"coverage"`      // covered / elapsed
 }
 
 func summarize(s rtrace.Span) spanSummary {
@@ -69,19 +70,19 @@ func summarize(s rtrace.Span) spanSummary {
 		Network:    s.PhaseTotal(rtrace.PhaseNetwork),
 		Apply:      s.PhaseTotal(rtrace.PhaseApply),
 		Attributed: s.AttributedTotal(),
+		Covered:    s.Covered(),
 	}
 	if sum.Elapsed > 0 {
-		sum.Coverage = float64(sum.Attributed) / float64(sum.Elapsed)
+		sum.Coverage = float64(sum.Covered) / float64(sum.Elapsed)
 	}
 	return sum
 }
 
 // requestView is the -request detail: the span's phase intervals as
 // offsets from span start, plus the attribution totals. This is the
-// shape CI diffs with -json. Overlap is attributed time minus the
-// union of the intervals — zero under the sync write path, and the
-// wall-clock the pipeline hid by running fsync and network
-// concurrently under the pipelined one.
+// shape CI diffs with -json. Overlap is attributed time minus covered
+// time: the wall-clock the pipeline hid by running fsync and network
+// concurrently, plus any follower work that ran past the reply.
 type requestView struct {
 	spanSummary
 	Start   time.Time       `json:"start"`
@@ -112,36 +113,8 @@ func viewRequest(s rtrace.Span) requestView {
 			Width:    pi.Width,
 		})
 	}
-	if u := unionDuration(v.Phases); v.Attributed > u {
-		v.Overlap = v.Attributed - u
-	}
+	v.Overlap = v.Attributed - v.Covered
 	return v
-}
-
-// unionDuration measures the union of the (sorted-by-offset) intervals:
-// wall-clock covered by at least one phase. Attributed minus this is
-// the concurrency the pipeline bought.
-func unionDuration(phases []phaseInterval) time.Duration {
-	var total, curStart, curEnd time.Duration
-	open := false
-	for _, pi := range phases {
-		start, end := pi.Offset, pi.Offset+pi.Duration
-		switch {
-		case !open:
-			curStart, curEnd, open = start, end, true
-		case start <= curEnd:
-			if end > curEnd {
-				curEnd = end
-			}
-		default:
-			total += curEnd - curStart
-			curStart, curEnd = start, end
-		}
-	}
-	if open {
-		total += curEnd - curStart
-	}
-	return total
 }
 
 // runSpans drives the -spans mode: a listing of every span in the
@@ -210,8 +183,8 @@ func printRequest(w io.Writer, s rtrace.Span, jsonOut bool) error {
 		fmt.Fprintf(w, " (errored)")
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  end-to-end %s, attributed %s (%.0f%% coverage)",
-		fd(v.Elapsed), fd(v.Attributed), 100*v.Coverage)
+	fmt.Fprintf(w, "  end-to-end %s, covered %s (%.0f%% coverage), attributed %s",
+		fd(v.Elapsed), fd(v.Covered), 100*v.Coverage, fd(v.Attributed))
 	if v.Overlap > 0 {
 		fmt.Fprintf(w, ", pipelined overlap %s", fd(v.Overlap))
 	}
@@ -253,10 +226,7 @@ func printRequest(w io.Writer, s rtrace.Span, jsonOut bool) error {
 		}
 		fmt.Fprintf(w, "  %-8s  %-9s  %4.0f%%  %s\n", p, fd(totals[i]), 100*share, bar(share, 32))
 	}
-	unattributed := v.Elapsed - v.Attributed
-	if unattributed < 0 {
-		unattributed = 0
-	}
+	unattributed := v.Elapsed - v.Covered
 	share := 0.0
 	if v.Elapsed > 0 {
 		share = float64(unattributed) / float64(v.Elapsed)

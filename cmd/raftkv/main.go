@@ -38,12 +38,6 @@ import (
 	"ooc/internal/transport"
 )
 
-// wireCodec is the TCP encoding selected by -codec; demo and server
-// modes pass it to every transport they open. Bench mode runs over the
-// in-memory simulator, which passes payloads by reference — the codec
-// reaches its numbers through the storage path there.
-var wireCodec transport.Codec
-
 // tracer samples per-request spans when -trace-sample > 0 (nil
 // otherwise: every hook no-ops). flights holds one flight recorder per
 // in-process node when -flight-dir is set (nil otherwise), dumping to
@@ -53,18 +47,13 @@ var (
 	flights []*rtrace.Flight
 )
 
-// deviceLatency mirrors -device-latency: a modeled shared-device cost
-// per barrier for the multi-shard bench (the E18 fixture).
-// shardTrace is the multi-shard bench's protocol recorder (non-nil only
-// when -shard-trace-out is set): it captures mux-tagged message events
-// plus per-flush fsync notes, the input for ooctrace's per-channel
+// shardTrace is the bench's protocol recorder (non-nil only when
+// -shard-trace-out is set): it captures mux-tagged message events plus
+// per-flush fsync notes, the input for ooctrace's per-channel
 // fsyncs/width columns.
-var (
-	deviceLatency time.Duration
-	shardTrace    *trace.Recorder
-)
+var shardTrace *trace.Recorder
 
-// writeShardTrace dumps the multi-shard bench's protocol trace to path.
+// writeShardTrace dumps the bench's protocol trace to path.
 func writeShardTrace(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -97,7 +86,7 @@ func main() {
 		peers     = flag.String("peers", "", "comma-separated cluster addresses, indexed by node id")
 		telemetry = flag.String("telemetry", "", "serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9100)")
 		benchMode = flag.Bool("bench", false, "run the closed-loop throughput benchmark and exit")
-		clients   = flag.Int("clients", 8, "bench mode: concurrent closed-loop clients")
+		clients   = flag.Int("clients", 8, "bench mode: concurrent closed-loop clients per shard")
 		duration  = flag.Duration("duration", time.Second, "bench mode: measurement window")
 		diskStore = flag.Bool("disk", true, "bench mode: persist through FileStorage (fsync path); false = MemStorage")
 		seed      = flag.Uint64("seed", 1, "bench mode: simulation seed")
@@ -105,18 +94,16 @@ func main() {
 		lease     = flag.Duration("lease", 0, "leader lease duration (0 disables; reads with -read-consistency lease skip the quorum round while it holds)")
 		readRatio = flag.Float64("read-ratio", 0, "bench mode: fraction of ops that are reads (0 = write-only E14 loop)")
 		shards    = flag.Int("shards", 1, "split the keyspace across this many independent Raft groups (demo and bench modes)")
-		codecName = flag.String("codec", "binary", "TCP wire encoding: binary (hand-rolled zero-alloc codec) | gob (compatibility oracle)")
 		sample    = flag.Float64("trace-sample", 0, "per-request tracing sample rate in [0,1]; 0 disables (span timelines dump to -trace-out for ooctrace -request)")
 		traceOut  = flag.String("trace-out", "", "write sampled span timelines to this JSON file on exit (requires -trace-sample > 0)")
 		flightDir = flag.String("flight-dir", "", "arm per-node flight recorders dumping recent events to this directory on anomalies (elections, lease expiries, mux backlog drops)")
-		devLat    = flag.Duration("device-latency", 0, "bench mode with -shards>1: model one shared storage device per node with this latency per durability barrier (the E18 fixture; 0 disables)")
-		shardTr   = flag.String("shard-trace-out", "", "bench mode with -shards>1: write the protocol trace (mux traffic + per-flush fsync notes) to this JSON file for ooctrace's channel table")
+		devLat    = flag.Duration("device-latency", 0, "bench mode: model one shared storage device per node with this latency per durability barrier (the E18 fixture; 0 disables)")
+		shardTr   = flag.String("shard-trace-out", "", "bench mode: write the protocol trace (mux traffic + per-flush fsync notes) to this JSON file for ooctrace's channel table")
 	)
 	flag.Parse()
-	deviceLatency = *devLat
 	if *shardTr != "" {
-		if !*benchMode || *shards <= 1 {
-			fmt.Fprintln(os.Stderr, "raftkv: -shard-trace-out needs -bench with -shards > 1")
+		if !*benchMode {
+			fmt.Fprintln(os.Stderr, "raftkv: -shard-trace-out needs -bench")
 			os.Exit(1)
 		}
 		shardTrace = trace.NewTimedRecorder()
@@ -127,15 +114,6 @@ func main() {
 	readMode, err := raft.ParseReadConsistency(*readCons)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "raftkv: %v\n", err)
-		os.Exit(1)
-	}
-	switch *codecName {
-	case "binary":
-		wireCodec = transport.Binary
-	case "gob":
-		wireCodec = transport.Gob
-	default:
-		fmt.Fprintf(os.Stderr, "raftkv: unknown -codec %q (binary | gob)\n", *codecName)
 		os.Exit(1)
 	}
 
@@ -180,10 +158,24 @@ func main() {
 	}
 
 	switch {
-	case *benchMode && *shards > 1:
-		err = runMultiShardBench(*n, *shards, *clients, *duration, *diskStore, *seed, *readRatio, readMode, *lease, reg)
 	case *benchMode:
-		err = runBench(*n, *clients, *duration, *diskStore, *seed, *readRatio, readMode, *lease, reg)
+		err = runBench(bench.KVConfig{
+			Nodes:           *n,
+			Shards:          *shards,
+			ClientsPerShard: *clients,
+			Duration:        *duration,
+			Seed:            *seed,
+			FileStorage:     *diskStore,
+			Metrics:         reg,
+			ShardMetrics:    func(int) *metrics.Registry { return reg },
+			Tracer:          tracer,
+			Flights:         flights,
+			ReadRatio:       *readRatio,
+			ReadMode:        readMode,
+			LeaseDuration:   *lease,
+			DeviceLatency:   *devLat,
+			Recorder:        shardTrace,
+		})
 	case *demo && *shards > 1:
 		err = runMultiShardDemo(*n, *shards, readMode, *lease, reg)
 	case *demo:
@@ -215,34 +207,24 @@ func main() {
 	}
 }
 
-// runBench runs the closed-loop throughput benchmark (the engine behind
-// experiments E14 and E15) and prints a one-screen report.
-func runBench(n, clients int, duration time.Duration, disk bool, seed uint64,
-	readRatio float64, readMode raft.ReadConsistency, lease time.Duration, reg *metrics.Registry) error {
+// runBench runs one closed-loop KV benchmark (bench.RunKV, the engine
+// behind experiments E14, E15, E16 and E18) and prints a one-screen
+// report.
+func runBench(cfg bench.KVConfig) error {
 	kind := "mem"
-	if disk {
-		kind = "file (group-commit fsync)"
+	if cfg.FileStorage {
+		kind = "file (group-commit fsync, coalesced)"
+		if cfg.DeviceLatency > 0 {
+			kind += fmt.Sprintf(", %v shared device", cfg.DeviceLatency)
+		}
 	}
 	mix := "write-only"
-	if readRatio > 0 {
-		mix = fmt.Sprintf("%.0f%% %v reads", readRatio*100, readMode)
+	if cfg.ReadRatio > 0 {
+		mix = fmt.Sprintf("%.0f%% %v reads", cfg.ReadRatio*100, cfg.ReadMode)
 	}
-	fmt.Printf("raftkv bench: %d nodes, %d closed-loop clients, %v window, storage=%s, %s\n",
-		n, clients, duration, kind, mix)
-	res, err := bench.RunRaftThroughput(bench.ThroughputConfig{
-		Nodes:         n,
-		Clients:       clients,
-		Duration:      duration,
-		Seed:          seed,
-		FileStorage:   disk,
-		Metrics:       reg,
-		Tracer:        tracer,
-		Flights:       flights,
-		ReadRatio:     readRatio,
-		ReadMode:      readMode,
-		LeaseDuration: lease,
-		SyncCoalesce:  true,
-	})
+	fmt.Printf("raftkv bench: %d nodes, %d shards, %d closed-loop clients/shard, %v window, storage=%s, %s\n",
+		cfg.Nodes, cfg.Shards, cfg.ClientsPerShard, cfg.Duration, kind, mix)
+	res, err := bench.RunKV(cfg)
 	if err != nil {
 		return err
 	}
@@ -250,17 +232,32 @@ func runBench(n, clients int, duration time.Duration, disk bool, seed uint64,
 	fmt.Printf("  throughput      %.0f ops/sec\n", res.OpsPerSec)
 	fmt.Printf("  latency p50     %v\n", res.P50.Round(10*time.Microsecond))
 	fmt.Printf("  latency p99     %v\n", res.P99.Round(10*time.Microsecond))
-	if disk {
-		fmt.Printf("  fsyncs          %d (%.3f per op)\n", res.Fsyncs, res.FsyncsPerOp)
+	if cfg.FileStorage {
+		fmt.Printf("  fsyncs          %d (%.3f per op, per-file)\n", res.Fsyncs, res.FsyncsPerOp)
+	}
+	if res.Barriers > 0 {
+		fmt.Printf("  device barriers %d (%.3f per op, mean width %.2f)\n",
+			res.Barriers, res.BarriersPerOp, res.MeanWidth)
 	}
 	fmt.Printf("  allocs per op   %.1f (process-wide)\n", res.AllocsPerOp)
-	if readRatio > 0 {
+	if cfg.ReadRatio > 0 {
 		fmt.Printf("  reads/writes    %d / %d\n", res.Reads, res.Writes)
 		fmt.Printf("  read p50/p99    %v / %v\n",
 			res.ReadP50.Round(10*time.Microsecond), res.ReadP99.Round(10*time.Microsecond))
 		fmt.Printf("  served by       lease=%d readindex=%d stale=%d forwarded=%d\n",
 			res.LeaseReads, res.IndexReads, res.StaleReads, res.ForwardedReads)
 	}
+	fmt.Printf("  per-shard ops  ")
+	for s, ops := range res.PerShardOps {
+		fmt.Printf(" shard%d=%d", s, ops)
+	}
+	fmt.Println()
+	fmt.Printf("  leaders        ")
+	for s, node := range res.LeaderPlacement {
+		fmt.Printf(" shard%d→node%d", s, node)
+	}
+	fmt.Printf("  (spread %d/%d nodes, %d rebalances)\n", res.LeaderSpread, cfg.Nodes, res.Rebalances)
+	fmt.Printf("  key imbalance   %.2f (max/mean keys per shard)\n", res.KeyImbalance)
 	return nil
 }
 
@@ -293,7 +290,7 @@ func flightFor(id int) *rtrace.Flight {
 
 func runDemo(n int, lease time.Duration, reg *metrics.Registry) error {
 	fmt.Printf("starting %d-node raft kv cluster on loopback TCP...\n", n)
-	eps, err := transport.NewLocalCluster(n, transport.WithCodec(wireCodec), transport.WithMetrics(reg))
+	eps, err := transport.NewLocalCluster(n, transport.WithMetrics(reg))
 	if err != nil {
 		return err
 	}
@@ -412,7 +409,7 @@ func runServer(id int, peers []string, readMode raft.ReadConsistency, lease time
 	if readMode == raft.ReadLogCommand {
 		return fmt.Errorf("-read-consistency log is a benchmark baseline; server mode serves linearizable, lease, or stale")
 	}
-	ep, err := transport.Listen(id, peers, transport.WithCodec(wireCodec), transport.WithMetrics(reg))
+	ep, err := transport.Listen(id, peers, transport.WithMetrics(reg))
 	if err != nil {
 		return err
 	}

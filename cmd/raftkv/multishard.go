@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ooc/internal/bench"
 	"ooc/internal/metrics"
 	"ooc/internal/msgnet"
 	"ooc/internal/raft"
@@ -14,74 +13,13 @@ import (
 	"ooc/internal/transport"
 )
 
-// runMultiShardBench runs the closed-loop multi-Raft benchmark (the E16
-// engine): the keyspace hash-split across shards independent groups
-// multiplexed over one simulated network, clients closed-loop clients
-// per shard.
-func runMultiShardBench(n, shards, clients int, duration time.Duration, disk bool, seed uint64,
-	readRatio float64, readMode raft.ReadConsistency, lease time.Duration, reg *metrics.Registry) error {
-	if !disk {
-		return fmt.Errorf("multi-shard bench persists through FileStorage; it needs -disk=true")
-	}
-	mix := "write-only"
-	if readRatio > 0 {
-		mix = fmt.Sprintf("%.0f%% %v reads", readRatio*100, readMode)
-	}
-	fsync := "coalesced"
-	if deviceLatency > 0 {
-		fsync += fmt.Sprintf(", %v shared device", deviceLatency)
-	}
-	fmt.Printf("raftkv multi-shard bench: %d nodes, %d shards, %d clients/shard, %v window, %s, fsync %s\n",
-		n, shards, clients, duration, mix, fsync)
-	res, err := bench.RunMultiShard(bench.MultiShardConfig{
-		Nodes:           n,
-		Shards:          shards,
-		ClientsPerShard: clients,
-		Duration:        duration,
-		Seed:            seed,
-		FileStorage:     true,
-		Metrics:         reg,
-		Tracer:          tracer,
-		Flights:         flights,
-		ReadRatio:       readRatio,
-		ReadMode:        readMode,
-		LeaseDuration:   lease,
-		DeviceLatency:   deviceLatency,
-		Recorder:        shardTrace,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  committed ops   %d\n", res.Ops)
-	fmt.Printf("  throughput      %.0f ops/sec\n", res.OpsPerSec)
-	fmt.Printf("  latency p50     %v\n", res.P50.Round(10*time.Microsecond))
-	fmt.Printf("  latency p99     %v\n", res.P99.Round(10*time.Microsecond))
-	fmt.Printf("  fsyncs          %d (%.3f per op, per-file)\n", res.Fsyncs, res.FsyncsPerOp)
-	if res.Barriers > 0 {
-		fmt.Printf("  device barriers %d (%.3f per op, mean width %.2f)\n",
-			res.Barriers, res.BarriersPerOp, res.MeanWidth)
-	}
-	fmt.Printf("  per-shard ops  ")
-	for s, ops := range res.PerShardOps {
-		fmt.Printf(" shard%d=%d", s, ops)
-	}
-	fmt.Println()
-	fmt.Printf("  leaders        ")
-	for s, node := range res.LeaderPlacement {
-		fmt.Printf(" shard%d→node%d", s, node)
-	}
-	fmt.Printf("  (spread %d/%d nodes, %d rebalances)\n", res.LeaderSpread, n, res.Rebalances)
-	fmt.Printf("  key imbalance   %.2f (max/mean keys per shard)\n", res.KeyImbalance)
-	return nil
-}
-
 // runMultiShardDemo runs a whole multi-Raft cluster in one process over
 // loopback TCP: shards independent groups share n transports through
 // per-group mux channels, writes route by key, and a linearizable read
 // comes back through the owning group's fast path.
 func runMultiShardDemo(n, shards int, readMode raft.ReadConsistency, lease time.Duration, reg *metrics.Registry) error {
 	fmt.Printf("starting %d-node / %d-shard raft kv cluster on loopback TCP...\n", n, shards)
-	eps, err := transport.NewLocalCluster(n, transport.WithCodec(wireCodec), transport.WithMetrics(reg))
+	eps, err := transport.NewLocalCluster(n, transport.WithMetrics(reg))
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,7 @@ func RunE18(s Suite) (Table, error) {
 		var opsPerSec, p50, p99, barriersPerOp, meanWidth, fsyncsPerOp stats
 		ops := 0
 		for trial := 0; trial < trials; trial++ {
-			res, err := RunMultiShard(MultiShardConfig{
+			res, err := RunKV(KVConfig{
 				Nodes:           3,
 				Shards:          shards,
 				ClientsPerShard: 1,

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,8 +12,10 @@ import (
 
 // TestE14PhaseAttributionCoversLatency is the tracing acceptance check:
 // on the E14 closed-loop write path with every request sampled, the best
-// spans' queue+fsync+network+apply attribution must sum to within 10%
-// of the client-observed end-to-end latency. Scheduling noise on a
+// spans' phase intervals must cover at least 90% of the client-observed
+// end-to-end latency. Coverage is the union of the intervals clipped to
+// the span (Span.Covered): fsync and network overlap by design, so their
+// plain sum passes 100% whatever latency leaks. Scheduling noise on a
 // loaded CI box can starve individual spans (the client goroutine's
 // post-apply wakeup is genuinely outside the four phases), so the
 // assertion is on the best-covered spans of the run, not the mean —
@@ -23,13 +26,14 @@ func TestE14PhaseAttributionCoversLatency(t *testing.T) {
 		t.Skip("spins a real fsync-bound cluster")
 	}
 	tracer := rtrace.New(rtrace.Options{Sample: 1})
-	res, err := RunRaftThroughput(ThroughputConfig{
-		Nodes:       3,
-		Clients:     1, // single closed loop: no cross-request queueing noise
-		Duration:    400 * time.Millisecond,
-		Seed:        42,
-		FileStorage: true,
-		Tracer:      tracer,
+	res, err := RunKV(KVConfig{
+		Nodes:           3,
+		Shards:          1,
+		ClientsPerShard: 1, // single closed loop: no cross-request queueing noise
+		Duration:        400 * time.Millisecond,
+		Seed:            42,
+		FileStorage:     true,
+		Tracer:          tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,20 +42,21 @@ func TestE14PhaseAttributionCoversLatency(t *testing.T) {
 		t.Fatal("bench committed nothing")
 	}
 	spans := tracer.Spans()
-	best, attributed := 0.0, 0
+	var covs []float64
+	best := 0.0
 	var bestSpan rtrace.Span
 	for _, s := range spans {
 		if s.Err || s.Remote || s.Elapsed() <= 0 {
 			continue
 		}
-		attributed++
-		cov := float64(s.AttributedTotal()) / float64(s.Elapsed())
+		cov := float64(s.Covered()) / float64(s.Elapsed())
+		covs = append(covs, cov)
 		if cov > best {
 			best, bestSpan = cov, s
 		}
 	}
-	if attributed < 5 {
-		t.Fatalf("only %d clean spans out of %d ops", attributed, res.Ops)
+	if len(covs) < 5 {
+		t.Fatalf("only %d clean spans out of %d ops", len(covs), res.Ops)
 	}
 	if best < 0.90 {
 		t.Fatalf("best span coverage %.1f%% < 90%%: attribution is leaking latency (best span: %+v)",
@@ -64,8 +69,9 @@ func TestE14PhaseAttributionCoversLatency(t *testing.T) {
 			t.Fatalf("best span missing %v attribution: %+v", p, bestSpan)
 		}
 	}
-	t.Logf("spans=%d best coverage=%.1f%% (e2e=%v attributed=%v)",
-		attributed, 100*best, bestSpan.Elapsed(), bestSpan.AttributedTotal())
+	sort.Float64s(covs)
+	t.Logf("spans=%d coverage median=%.1f%% best=%.1f%% (e2e=%v covered=%v attributed=%v)",
+		len(covs), 100*covs[len(covs)/2], 100*best, bestSpan.Elapsed(), bestSpan.Covered(), bestSpan.AttributedTotal())
 }
 
 // TestE14DisabledTracingOverhead measures the cost of the tracing hooks
@@ -97,18 +103,19 @@ func TestE14DisabledTracingOverhead(t *testing.T) {
 		k, limit = 9, 0.03
 	}
 	run := func(seed uint64, traced bool) float64 {
-		cfg := ThroughputConfig{
-			Nodes:    3,
-			Clients:  8,
-			Duration: 200 * time.Millisecond,
-			Seed:     seed,
+		cfg := KVConfig{
+			Nodes:           3,
+			Shards:          1,
+			ClientsPerShard: 8,
+			Duration:        200 * time.Millisecond,
+			Seed:            seed,
 		}
 		if traced {
 			// Tracer armed but sampling nothing: the configuration a
 			// production cluster runs with tracing compiled in and off.
 			cfg.Tracer = rtrace.New(rtrace.Options{Sample: 0})
 		}
-		res, err := RunRaftThroughput(cfg)
+		res, err := RunKV(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,13 +158,14 @@ func TestE14TracedRunProducesConsumableSpans(t *testing.T) {
 		t.Skip("spins a real fsync-bound cluster")
 	}
 	tracer := rtrace.New(rtrace.Options{Sample: 0.5})
-	if _, err := RunRaftThroughput(ThroughputConfig{
-		Nodes:       3,
-		Clients:     4,
-		Duration:    300 * time.Millisecond,
-		Seed:        7,
-		FileStorage: true,
-		Tracer:      tracer,
+	if _, err := RunKV(KVConfig{
+		Nodes:           3,
+		Shards:          1,
+		ClientsPerShard: 4,
+		Duration:        300 * time.Millisecond,
+		Seed:            7,
+		FileStorage:     true,
+		Tracer:          tracer,
 	}); err != nil {
 		t.Fatal(err)
 	}

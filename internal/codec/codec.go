@@ -7,8 +7,7 @@
 // state; decoding amortizes through a reusable Decoder. Types the codec
 // does not know natively (e.g. the benor package's messages, or
 // application-defined commands) ride through a gob-encoded fallback
-// frame, so the codec is a strict superset of the gob transport's
-// reach: anything that was transport.Register-ed keeps working.
+// frame: anything transport.Register-ed crosses the wire.
 //
 // Frame layout (the body of a transport frame or a storage record —
 // outer length prefixes and checksums belong to those layers):
@@ -185,10 +184,9 @@ func appendBody(dst []byte, msg any) ([]byte, error) {
 		dst = bin.AppendString(dst, m.Channel)
 		return appendBody(dst, m.Payload)
 	default:
-		// Foreign payload: gob inside the frame. Same registration
-		// contract as the gob transport (transport.Register), so
-		// everything that worked before the codec still works — it just
-		// pays gob's cost while the known message set does not.
+		// Foreign payload: gob inside the frame. The type must be
+		// registered on both sides (transport.Register); it pays gob's
+		// cost while the known message set does not.
 		var buf bytes.Buffer
 		boxed := msg
 		if err := gob.NewEncoder(&buf).Encode(&boxed); err != nil {

@@ -99,8 +99,8 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 
 func TestDecodeMatchesGobOracle(t *testing.T) {
 	// Differential check: everything the codec round-trips must equal
-	// what a gob round trip of the same value produces (gob is the
-	// compatibility oracle the transport keeps behind WithCodec).
+	// what a gob round trip of the same value produces (encoding/gob is
+	// the codec-level oracle, alongside the fuzz corpora).
 	for i, msg := range wireMessages() {
 		frame, err := Append(nil, msg)
 		if err != nil {

@@ -11,7 +11,8 @@ import (
 )
 
 // Message is one point-to-point message. Payload is protocol-defined; on
-// the wire transport it must be a registered, gob-encodable type.
+// the wire transport it must be a type the codec knows natively or a
+// registered, gob-encodable type (transport.Register).
 type Message struct {
 	From    int
 	To      int
@@ -42,8 +43,9 @@ type Endpoint interface {
 // (internal/rtrace). The wrapper exists so the ID can cross process
 // boundaries: the binary codec hoists it into the frame header (frame
 // version 2, DESIGN §3.6) instead of encoding the wrapper itself, and
-// the gob compatibility path strips it. In-process consumers (the raft
-// node loop, the mux) unwrap it with TraceOf. ID 0 never wraps.
+// strips it toward peers pinned to frame version 1. In-process
+// consumers (the raft node loop, the mux) unwrap it with TraceOf. ID 0
+// never wraps.
 type Traced struct {
 	ID      uint64
 	Payload any
@@ -65,21 +67,6 @@ func TraceOf(payload any) (uint64, any) {
 		return t.ID, t.Payload
 	}
 	return 0, payload
-}
-
-// StripTrace removes trace wrappers wherever they ride — top level or
-// nested inside Tagged — for paths that cannot carry them (the gob
-// compatibility codec, version-pinned peers).
-func StripTrace(payload any) any {
-	switch m := payload.(type) {
-	case Traced:
-		return m.Payload
-	case Tagged:
-		if t, ok := m.Payload.(Traced); ok {
-			return Tagged{Channel: m.Channel, Payload: t.Payload}
-		}
-	}
-	return payload
 }
 
 // Sentinel errors shared by all Endpoint implementations.

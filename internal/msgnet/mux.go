@@ -76,15 +76,15 @@ func WithMuxDropHook(fn func(channel string, from int)) MuxOption {
 	return func(m *Mux) { m.onDrop = fn }
 }
 
-// Tagged is the wire wrapper. For the TCP transport, register it with
-// transport.Register(msgnet.WireTypes()...); the binary codec
-// (internal/codec) encodes it natively, recursing on the payload.
+// Tagged is the wire wrapper. The binary codec (internal/codec) encodes
+// it natively, recursing on the payload.
 type Tagged struct {
 	Channel string
 	Payload any
 }
 
-// WireTypes lists the mux's wire wrappers for gob registration.
+// WireTypes lists the mux's wire wrappers for gob registration (needed
+// only when one rides inside a foreign gob-encoded payload).
 func WireTypes() []any { return []any{Tagged{}, Traced{}} }
 
 // ChannelOf reports the mux channel name a payload is tagged with. Trace

@@ -84,11 +84,10 @@ func appendCommand(dst []byte, cmd any) ([]byte, error) {
 		return bin.AppendBool(append(dst, cmdBool), v), nil
 	default:
 		// Foreign command type: gob inside the frame. The type must be
-		// gob-registered on both sides, exactly as the gob transport
-		// already required (transport.Register). Copy to a local before
-		// taking an address: &cmd would make the parameter escape and
-		// charge every call — including the native fast paths above —
-		// one heap-boxed interface.
+		// gob-registered on both sides (transport.Register). Copy to a
+		// local before taking an address: &cmd would make the parameter
+		// escape and charge every call — including the native fast paths
+		// above — one heap-boxed interface.
 		var buf bytes.Buffer
 		boxed := cmd
 		if err := gob.NewEncoder(&buf).Encode(&boxed); err != nil {

@@ -30,6 +30,7 @@ package rtrace
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,8 +48,8 @@ type ID uint64
 // persist worker stamps fsync around the actual AppendBatch while the
 // main loop stamps network append→commit — so the two intervals OVERLAP
 // when the pipeline is doing its job, and AttributedTotal may exceed
-// Elapsed. Renderers must treat phases as
-// intervals on a shared timeline, not as a sequential breakdown.
+// Elapsed. Renderers must treat phases as intervals on a shared
+// timeline, not as a sequential breakdown; Span.Covered is their union.
 type Phase uint8
 
 const (
@@ -176,12 +177,44 @@ func (s Span) PhaseTotal(p Phase) time.Duration {
 	return total
 }
 
-// AttributedTotal sums every phase interval — the quantity the
-// acceptance criteria compare against Elapsed.
+// AttributedTotal sums every phase interval. Phases overlap, so this can
+// exceed Elapsed; the time the phases actually account for is Covered.
 func (s Span) AttributedTotal() time.Duration {
 	var total time.Duration
 	for _, pi := range s.Phases {
 		total += pi.Duration()
+	}
+	return total
+}
+
+// Covered is the wall-clock time inside [Start, End] that at least one
+// phase interval covers: the union of the intervals, clipped to the
+// span. It never exceeds Elapsed, and Elapsed minus Covered is the
+// request's unattributed residue — the quantity the acceptance criteria
+// bound.
+func (s Span) Covered() time.Duration {
+	iv := make([]PhaseInterval, 0, len(s.Phases))
+	for _, pi := range s.Phases {
+		if pi.Start.Before(s.Start) {
+			pi.Start = s.Start
+		}
+		if pi.End.After(s.End) {
+			pi.End = s.End
+		}
+		if pi.End.After(pi.Start) {
+			iv = append(iv, pi)
+		}
+	}
+	sort.Slice(iv, func(i, j int) bool { return iv[i].Start.Before(iv[j].Start) })
+	var total time.Duration
+	for i := 0; i < len(iv); {
+		start, end := iv[i].Start, iv[i].End
+		for i++; i < len(iv) && !iv[i].Start.After(end); i++ {
+			if iv[i].End.After(end) {
+				end = iv[i].End
+			}
+		}
+		total += end.Sub(start)
 	}
 	return total
 }

@@ -55,6 +55,31 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 }
 
+// TestSpanCovered pins the union semantics: overlapping phases count
+// once, gaps count zero, and intervals are clipped to the span, so
+// coverage can never pass 100% the way AttributedTotal does.
+func TestSpanCovered(t *testing.T) {
+	base := time.Now()
+	at := func(us int) time.Time { return base.Add(time.Duration(us) * time.Microsecond) }
+	s := Span{Start: at(0), End: at(1000), Phases: []PhaseInterval{
+		{Phase: PhaseNetwork, Start: at(300), End: at(700)},
+		{Phase: PhaseQueue, Start: at(0), End: at(100)},
+		{Phase: PhaseFsync, Start: at(200), End: at(500)},   // overlaps network
+		{Phase: PhaseFsync, Start: at(400), End: at(600)},   // inside the union
+		{Phase: PhaseApply, Start: at(900), End: at(1400)},  // runs past End
+		{Phase: PhaseApply, Start: at(1100), End: at(1200)}, // wholly outside
+	}}
+	if got, want := s.Covered(), 700*time.Microsecond; got != want {
+		t.Fatalf("Covered = %v, want %v (queue 100 + fsync/network 500 + clipped apply 100)", got, want)
+	}
+	if got := s.AttributedTotal(); got <= s.Elapsed() {
+		t.Fatalf("fixture must over-attribute: AttributedTotal %v <= Elapsed %v", got, s.Elapsed())
+	}
+	if got := (Span{Start: at(0), End: at(10)}).Covered(); got != 0 {
+		t.Fatalf("span without phases covers %v, want 0", got)
+	}
+}
+
 func TestUnsampledAndNilPathsAreInert(t *testing.T) {
 	tr := New(Options{Sample: 0})
 	if id, ok := tr.Begin(0, "set", "k"); ok || id != 0 {

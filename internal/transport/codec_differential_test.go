@@ -33,13 +33,12 @@ func (s *recordingKV) commits() []string {
 	return append([]string(nil), s.seq...)
 }
 
-// runSequence drives cmds through a 3-node TCP Raft cluster using the
-// given wire codec and returns the commit sequence and final key space
-// observed by every node.
-func runSequence(t *testing.T, c Codec, seed uint64, cmds []raft.KVCommand) (seqs [][]string, snaps [][]string) {
+// runSequence drives cmds through a 3-node TCP Raft cluster and returns
+// the commit sequence and final key space observed by every node.
+func runSequence(t *testing.T, seed uint64, cmds []raft.KVCommand) (seqs [][]string, snaps [][]string) {
 	t.Helper()
 	const n = 3
-	trs := localCluster(t, n, WithCodec(c))
+	trs := localCluster(t, n)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	rng := sim.NewRNG(seed)
@@ -66,7 +65,7 @@ func runSequence(t *testing.T, c Codec, seed uint64, cmds []raft.KVCommand) (seq
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			if time.Now().After(deadline) {
-				t.Fatalf("codec %v: proposal %v made no progress", c, cmd)
+				t.Fatalf("seed %d: proposal %v made no progress", seed, cmd)
 			}
 			leader := -1
 			for id, node := range nodes {
@@ -101,7 +100,7 @@ func runSequence(t *testing.T, c Codec, seed uint64, cmds []raft.KVCommand) (seq
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("codec %v: replication did not complete", c)
+			t.Fatalf("seed %d: replication did not complete", seed)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -112,13 +111,15 @@ func runSequence(t *testing.T, c Codec, seed uint64, cmds []raft.KVCommand) (seq
 	return seqs, snaps
 }
 
-// TestCodecDifferentialAgainstGob is the end-to-end differential check:
-// the same command sequence driven through a binary-codec cluster and a
-// gob-codec cluster must produce identical post-apply state machines on
-// every node, and identical commit sequences per seed. Leader no-ops
-// make the absolute log indexes election-dependent, so the state-machine
-// comparison is exact while the commit sequences are compared after
-// filtering to KV commands only.
+// TestCodecDifferentialAgainstGob is the end-to-end differential check
+// of the wire codec. Its oracle involves no codec at all: the same
+// command sequence is applied directly to an in-process raft.KVStore,
+// and every node of a TCP cluster must end with that store's state and
+// must have committed exactly cmds, in order. Leader no-ops make the
+// absolute log indexes election-dependent, so the commit sequences are
+// compared after filtering to KV commands only. The codec-level oracles
+// are TestDecodeMatchesGobOracle and the fuzz corpora in
+// internal/codec.
 func TestCodecDifferentialAgainstGob(t *testing.T) {
 	cmds := []raft.KVCommand{
 		{Op: "set", Key: "a", Value: "1"},
@@ -127,19 +128,23 @@ func TestCodecDifferentialAgainstGob(t *testing.T) {
 		{Op: "delete", Key: "b"},
 		{Op: "set", Key: "c", Value: "4"},
 	}
+	var oracle raft.KVStore
+	want := make([]string, len(cmds))
+	for i, cmd := range cmds {
+		oracle.Apply(i+1, cmd)
+		want[i] = fmt.Sprintf("%v", cmd)
+	}
+	wantSnap := oracle.Snapshot()
 	for _, seed := range []uint64{1, 42} {
-		binSeqs, binSnaps := runSequence(t, Binary, seed, cmds)
-		gobSeqs, gobSnaps := runSequence(t, Gob, seed, cmds)
-
-		for id := range binSnaps {
-			if !reflect.DeepEqual(binSnaps[id], gobSnaps[id]) {
-				t.Fatalf("seed %d node %d: binary state %v != gob state %v", seed, id, binSnaps[id], gobSnaps[id])
+		seqs, snaps := runSequence(t, seed, cmds)
+		for id := range snaps {
+			if !reflect.DeepEqual(snaps[id], wantSnap) {
+				t.Fatalf("seed %d node %d: state %v != oracle state %v", seed, id, snaps[id], wantSnap)
 			}
 		}
-		for id := range binSeqs {
-			b, g := kvOnly(binSeqs[id]), kvOnly(gobSeqs[id])
-			if !reflect.DeepEqual(b, g) {
-				t.Fatalf("seed %d node %d: binary commits %v != gob commits %v", seed, id, b, g)
+		for id := range seqs {
+			if got := kvOnly(seqs[id]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d node %d: commits %v != oracle commits %v", seed, id, got, want)
 			}
 		}
 	}

@@ -1,25 +1,19 @@
 package transport
 
 import (
+	"context"
+	"errors"
+	"io"
+	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"ooc/internal/metrics"
 	"ooc/internal/msgnet"
 	"ooc/internal/raft"
 	"ooc/internal/trace"
 )
-
-// mixedCluster builds a 2-node cluster where node 0 dials with codec a
-// and node 1 dials with codec b, to prove the preamble negotiation lets
-// the codecs interoperate in either direction.
-func mixedCluster(t *testing.T, a, b Codec) []*Transport {
-	t.Helper()
-	trs := localCluster(t, 2) // both default Binary
-	trs[0].codec = a
-	trs[1].codec = b
-	return trs
-}
 
 func exchange(t *testing.T, trs []*Transport, payload any) any {
 	t.Helper()
@@ -33,27 +27,43 @@ func exchange(t *testing.T, trs []*Transport, payload any) any {
 	return m.Payload
 }
 
+// TestCodecInterop round-trips a full AppendEntries between two
+// transports over TCP.
 func TestCodecInterop(t *testing.T) {
 	msg := raft.AppendEntries{
 		Term: 3, LeaderID: 0, PrevLogIndex: 5, PrevLogTerm: 2,
 		Entries:      []raft.Entry{{Term: 3, Command: raft.KVCommand{Op: "set", Key: "k", Value: "v"}}},
 		LeaderCommit: 4, ReadID: 9,
 	}
-	for _, tc := range []struct {
-		name string
-		a, b Codec
-	}{
-		{"binary-to-binary", Binary, Binary},
-		{"gob-to-gob", Gob, Gob},
-		{"binary-to-gob", Binary, Gob},
-		{"gob-to-binary", Gob, Binary},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			trs := mixedCluster(t, tc.a, tc.b)
-			if got := exchange(t, trs, msg); !reflect.DeepEqual(got, msg) {
-				t.Fatalf("got %#v, want %#v", got, msg)
-			}
-		})
+	t.Run("binary-to-binary", func(t *testing.T) {
+		trs := localCluster(t, 2)
+		if got := exchange(t, trs, msg); !reflect.DeepEqual(got, msg) {
+			t.Fatalf("got %#v, want %#v", got, msg)
+		}
+	})
+}
+
+// TestUnknownPreambleRejected: a connection that does not open with the
+// 'B' preamble is a foreign client; the transport closes it without
+// delivering anything.
+func TestUnknownPreambleRejected(t *testing.T) {
+	trs := localCluster(t, 2)
+	conn, err := net.Dial("tcp", trs[1].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after a foreign preamble = %v, want EOF (connection closed)", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if m, err := trs[1].Recv(ctx); err == nil {
+		t.Fatalf("foreign connection delivered %#v", m)
 	}
 }
 

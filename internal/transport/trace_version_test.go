@@ -134,7 +134,9 @@ func assertTracedSpans(t *testing.T, tracer *rtrace.Tracer, minSpans int) {
 // frame V2 (trace ID) bump: one peer pinned to frame V1 — a binary
 // built before tracing existed — joins two V2 peers, tracing enabled at
 // sample 1.0. Writes must commit on every node (the V1 peer just never
-// sees trace IDs), and the V2 side must still assemble spans.
+// sees trace IDs), and the V2 side must still assemble spans. It is the
+// regression test for trace stripping toward peers that cannot carry
+// trace IDs.
 func TestMixedFrameVersionCluster(t *testing.T) {
 	trs := perNodeCluster(t, 3, func(i int) []Option {
 		if i == 2 {
@@ -142,16 +144,6 @@ func TestMixedFrameVersionCluster(t *testing.T) {
 		}
 		return nil
 	})
-	tracer := rtrace.New(rtrace.Options{Sample: 1})
-	runTracedCluster(t, trs, tracer)
-	assertTracedSpans(t, tracer, 1)
-}
-
-// TestGobClusterWithTracing pins the whole cluster to the gob codec,
-// which has no frame header at all: trace IDs are stripped at the wire
-// (msgnet.StripTrace) and the cluster must behave exactly as untraced.
-func TestGobClusterWithTracing(t *testing.T) {
-	trs := perNodeCluster(t, 3, func(int) []Option { return []Option{WithCodec(Gob)} })
 	tracer := rtrace.New(rtrace.Options{Sample: 1})
 	runTracedCluster(t, trs, tracer)
 	assertTracedSpans(t, tracer, 1)
