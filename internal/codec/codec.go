@@ -198,10 +198,37 @@ func appendBody(dst []byte, msg any) ([]byte, error) {
 
 // A Decoder decodes frames, amortizing allocations across messages: log
 // entry strings and commands intern through the embedded
-// raft.EntryDecoder. A zero Decoder is ready to use; it is not safe for
-// concurrent use — give each receive loop its own.
+// raft.EntryDecoder, and mux channel names through a table of its own.
+// A zero Decoder is ready to use; it is not safe for concurrent use —
+// give each receive loop its own.
 type Decoder struct {
-	ents raft.EntryDecoder
+	ents  raft.EntryDecoder
+	chans map[string]string
+}
+
+// The channel-name table's bounds. A node carries one channel per shard
+// group, so real streams never come near them; a name past either bound
+// is still decoded, just allocated each time.
+const (
+	chanInternLimit   = 1024 // names
+	chanInternMaxSize = 64   // bytes per name
+)
+
+// channel returns a string equal to b, reusing an earlier frame's
+// instance when there is one. The map index with a string([]byte) key
+// does not allocate, so a known channel costs nothing per frame.
+func (d *Decoder) channel(b []byte) string {
+	if s, ok := d.chans[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if d.chans == nil {
+		d.chans = make(map[string]string)
+	}
+	if len(d.chans) < chanInternLimit && len(s) <= chanInternMaxSize {
+		d.chans[s] = s
+	}
+	return s
 }
 
 // Decode parses one frame and returns the boxed message. Entry slices
@@ -285,7 +312,7 @@ func (d *Decoder) readBody(r *bin.Reader) (any, error) {
 		m := raft.InstallSnapshot{Term: r.Int(), LeaderID: r.Int(), LastIncludedIndex: r.Int(), LastIncludedTerm: r.Int(), Data: r.Bytes()}
 		return m, r.Err()
 	case tTagged:
-		ch := r.String()
+		ch := d.channel(r.View())
 		if err := r.Err(); err != nil {
 			return nil, err
 		}

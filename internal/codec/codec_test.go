@@ -264,3 +264,59 @@ func TestReadIndexReplyLegacyFrameDecodes(t *testing.T) {
 		t.Fatalf("new-tag round trip = %#v, want %#v", back, want)
 	}
 }
+
+// TestDecodeTaggedReplyAllocs gates the mux-wrapped receive path: once
+// the channel name is interned, decoding a Tagged reply costs exactly the
+// two interface boxes it returns (the inner reply and the outer Tagged).
+func TestDecodeTaggedReplyAllocs(t *testing.T) {
+	frame, err := Append(nil, msgnet.Tagged{Channel: "shard/1", Payload: raft.AppendEntriesReply{Term: 5, Success: true, MatchIndex: 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec Decoder
+	if _, err := dec.Decode(frame); err != nil { // interns "shard/1"
+		t.Fatal(err)
+	}
+	var got any
+	allocs := testing.AllocsPerRun(100, func() {
+		got, err = dec.Decode(frame)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tg, ok := got.(msgnet.Tagged); !ok || tg.Channel != "shard/1" {
+		t.Fatalf("decoded %#v", got)
+	}
+	if allocs != 2 {
+		t.Fatalf("Tagged reply decode allocates %.1f/op; want 2", allocs)
+	}
+}
+
+// TestChannelInternBounded decodes more distinct channel names than the
+// intern table holds: every name still decodes exactly, and the table
+// stops growing at its cap.
+func TestChannelInternBounded(t *testing.T) {
+	var dec Decoder
+	long := string(make([]byte, chanInternMaxSize+1))
+	for i := 0; i < chanInternLimit+100; i++ {
+		for _, name := range []string{fmt.Sprintf("shard/%d", i), long} {
+			frame, err := Append(nil, msgnet.Tagged{Channel: name, Payload: raft.AppendEntriesReply{Term: i}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dec.Decode(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tg := got.(msgnet.Tagged); tg.Channel != name {
+				t.Fatalf("decoded channel %q, want %q", tg.Channel, name)
+			}
+		}
+	}
+	if len(dec.chans) != chanInternLimit {
+		t.Fatalf("intern table holds %d names, want the cap %d", len(dec.chans), chanInternLimit)
+	}
+	if _, ok := dec.chans[long]; ok {
+		t.Fatal("a name over the size bound was interned")
+	}
+}

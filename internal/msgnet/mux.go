@@ -157,7 +157,7 @@ func (m *Mux) dispatch(ctx context.Context) {
 		s, ok := m.subs[tag.Channel]
 		dropped := false
 		if ok {
-			s.pending = append(s.pending, routed)
+			s.enqueueLocked(routed)
 		} else if len(m.backlog[tag.Channel]) < m.backlogLimit {
 			m.backlog[tag.Channel] = append(m.backlog[tag.Channel], routed)
 		} else {
@@ -199,7 +199,8 @@ type subEndpoint struct {
 	mux     *Mux
 	channel string
 
-	pending []Message
+	pending []Message // guarded by mux.mu
+	head    int       // pending[head:] are queued; the array is reused once drained
 	notify  chan struct{}
 }
 
@@ -210,6 +211,19 @@ func (s *subEndpoint) wake() {
 	case s.notify <- struct{}{}:
 	default:
 	}
+}
+
+// enqueueLocked appends msg to the channel's queue. Caller holds
+// mux.mu.
+func (s *subEndpoint) enqueueLocked(msg Message) {
+	if s.head > 0 && len(s.pending) == cap(s.pending) {
+		// Full behind a popped prefix: slide the queued messages down
+		// rather than let append carry the dead slots into a bigger array.
+		n := copy(s.pending, s.pending[s.head:])
+		clear(s.pending[n:])
+		s.pending, s.head = s.pending[:n], 0
+	}
+	s.pending = append(s.pending, msg)
 }
 
 // ID implements Endpoint.
@@ -238,9 +252,13 @@ func (s *subEndpoint) Broadcast(payload any) error {
 func (s *subEndpoint) Recv(ctx context.Context) (Message, error) {
 	for {
 		s.mux.mu.Lock()
-		if len(s.pending) > 0 {
-			msg := s.pending[0]
-			s.pending = s.pending[1:]
+		if s.head < len(s.pending) {
+			msg := s.pending[s.head]
+			s.pending[s.head] = Message{} // drop the payload reference
+			s.head++
+			if s.head == len(s.pending) {
+				s.pending, s.head = s.pending[:0], 0
+			}
 			s.mux.mu.Unlock()
 			return msg, nil
 		}

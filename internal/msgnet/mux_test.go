@@ -261,3 +261,40 @@ func TestMuxChannelOf(t *testing.T) {
 	}
 	_ = nw
 }
+
+// chanEndpoint is a stub parent endpoint: Recv hands out whatever the
+// test feeds into in, and sends go nowhere.
+type chanEndpoint struct{ in chan msgnet.Message }
+
+func (e chanEndpoint) ID() int             { return 0 }
+func (e chanEndpoint) N() int              { return 1 }
+func (e chanEndpoint) Send(int, any) error { return nil }
+func (e chanEndpoint) Broadcast(any) error { return nil }
+func (e chanEndpoint) Recv(ctx context.Context) (msgnet.Message, error) {
+	select {
+	case m := <-e.in:
+		return m, nil
+	case <-ctx.Done():
+		return msgnet.Message{}, ctx.Err()
+	}
+}
+
+// TestMuxDeliverRecvZeroAlloc gates the channel queue: a steady
+// dispatch→Recv cycle on one mux channel reuses the channel's pending
+// array instead of growing a new one each time it drains.
+func TestMuxDeliverRecvZeroAlloc(t *testing.T) {
+	ctx := ctxT(t)
+	parent := chanEndpoint{in: make(chan msgnet.Message)}
+	ch := msgnet.NewMux(ctx, parent).Channel("shard/1")
+	var tagged any = msgnet.Tagged{Channel: "shard/1", Payload: 7}
+	m := msgnet.Message{Payload: tagged}
+	allocs := testing.AllocsPerRun(1000, func() {
+		parent.in <- m
+		if _, err := ch.Recv(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("mux dispatch→Recv allocates %.1f/op; want 0", allocs)
+	}
+}

@@ -2,8 +2,10 @@ package raft
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // appliedNotifier publishes the node's applied index, and the term of
@@ -59,10 +61,14 @@ func (a *appliedNotifier) last() (idx, term int) {
 	return a.idx, a.term
 }
 
+// errWaitExpired reports that a wait's expire channel fired first.
+var errWaitExpired = errors.New("raft: applied wait expired")
+
 // wait blocks until the published applied index reaches index, ctx
-// ends, or stop closes. It returns the last index it observed and the
-// term of the entry applied there.
-func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index int) (idx, term int, err error) {
+// ends, stop closes, or expire fires (errWaitExpired; a nil expire never
+// fires). It returns the last index it observed and the term of the
+// entry applied there.
+func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index int, expire <-chan time.Time) (idx, term int, err error) {
 	for {
 		a.mu.Lock()
 		idx, term = a.idx, a.term
@@ -77,6 +83,8 @@ func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index 
 			return idx, term, ctx.Err()
 		case <-stop:
 			return idx, term, ErrStopped
+		case <-expire:
+			return idx, term, errWaitExpired
 		}
 	}
 }
@@ -92,6 +100,6 @@ func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index 
 // index. Client.SubmitWait tells its own entry from a replacement by
 // the applied entry's term (see Client.waitApplied).
 func (nd *Node) AwaitApplied(ctx context.Context, index int) (int, error) {
-	idx, _, err := nd.applied.wait(ctx, nd.stopped, index)
+	idx, _, err := nd.applied.wait(ctx, nd.stopped, index, nil)
 	return idx, err
 }

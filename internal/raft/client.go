@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -370,11 +371,11 @@ func (c *Client) waitApplied(ctx context.Context, id int, rep proposeReply) (boo
 		if err := ctx.Err(); err != nil {
 			return false, fmt.Errorf("raft: client: %w", err)
 		}
-		// Wake at the apply edge; the timeout bounds how long a
-		// truncation (which applies nothing at our index) can stall us.
-		wctx, cancel := context.WithTimeout(ctx, 10*c.backoff)
-		_, term, err := nd.applied.wait(wctx, nd.stopped, rep.index)
-		cancel()
+		// Wake at the apply edge; the timer bounds how long a truncation
+		// (which applies nothing at our index) can stall us.
+		t := getWaitTimer(10 * c.backoff)
+		_, term, err := nd.applied.wait(ctx, nd.stopped, rep.index, t.C)
+		putWaitTimer(t)
 		if err == nil {
 			if term == rep.term {
 				return true, nil
@@ -403,4 +404,32 @@ func (c *Client) waitApplied(ctx context.Context, id int, rep proposeReply) (boo
 			return false, nil
 		}
 	}
+}
+
+// waitTimers recycles waitApplied's timers, which would otherwise cost
+// one timer per acknowledged write.
+var waitTimers sync.Pool
+
+// getWaitTimer returns a timer set to fire after d, reusing a pooled one
+// (stopped and drained by putWaitTimer) when there is one.
+func getWaitTimer(d time.Duration) *time.Timer {
+	if t, ok := waitTimers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// putWaitTimer stops t and pools it. go.mod's go 1.22 keeps the
+// pre-1.23 timer semantics, where a timer that fired unread still holds
+// a value in its channel; drain it on a false Stop, or the next wait to
+// take t would expire at once.
+func putWaitTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	waitTimers.Put(t)
 }

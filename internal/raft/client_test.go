@@ -351,3 +351,36 @@ func TestClientBackoffGrowsCappedAndJittered(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitAppliedPooledTimerDoesNotExpireEarly pins the timer pool's
+// drain: a pooled timer that fired with nobody reading it must not carry
+// that stale tick into the next waitApplied, which would then give up on
+// the apply at once instead of after 10×backoff.
+func TestWaitAppliedPooledTimerDoesNotExpireEarly(t *testing.T) {
+	c := newCluster(t, 1, 5)
+	c.waitLeader()
+	const backoff = 5 * time.Millisecond
+	client, err := NewClient(c.nodes, WithClientBackoff(backoff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 5; i++ {
+		stale := getWaitTimer(time.Microsecond)
+		time.Sleep(2 * time.Millisecond) // fires; nobody reads stale.C
+		putWaitTimer(stale)
+
+		// An index far past the log: nothing will apply there, so the wait
+		// can only end by expiring, after which the Status re-check sees
+		// the entry is absent (as after a truncation) and reports it lost.
+		start := time.Now()
+		ours, err := client.waitApplied(ctx, 0, proposeReply{index: 1 << 20, term: 1})
+		if err != nil || ours {
+			t.Fatalf("waitApplied = %v, %v; want false, nil", ours, err)
+		}
+		if d := time.Since(start); d < 10*backoff {
+			t.Fatalf("round %d: wait expired after %v, before 10×backoff = %v", i, d, 10*backoff)
+		}
+	}
+}

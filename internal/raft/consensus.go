@@ -14,7 +14,7 @@ import (
 type ConsensusNode struct {
 	node  *Node
 	sm    *DecideOnce
-	sub   *Subscription
+	sub   *Subscription // became-leader and applied events only
 	value any
 }
 
@@ -30,7 +30,7 @@ func NewConsensusNode(cfg Config, v any) (*ConsensusNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ConsensusNode{node: node, sm: sm, sub: node.Subscribe(), value: v}, nil
+	return &ConsensusNode{node: node, sm: sm, sub: node.Subscribe(EventBecameLeader, EventApplied), value: v}, nil
 }
 
 // Node exposes the underlying Raft node (for status inspection and fault

@@ -72,6 +72,7 @@ func (e Event) String() string {
 type eventQueue struct {
 	mu     sync.Mutex
 	events []Event
+	head   int // events[head:] are queued; the array is reused once drained
 	closed bool
 	notify chan struct{} // 1-buffered wakeup signal
 	done   chan struct{}
@@ -91,6 +92,13 @@ func (q *eventQueue) push(e Event) {
 		q.mu.Unlock()
 		return
 	}
+	if q.head > 0 && len(q.events) == cap(q.events) {
+		// Full behind a popped prefix: slide the queued events down
+		// rather than let append carry the dead slots into a bigger array.
+		n := copy(q.events, q.events[q.head:])
+		clear(q.events[n:])
+		q.events, q.head = q.events[:n], 0
+	}
 	q.events = append(q.events, e)
 	q.mu.Unlock()
 	select {
@@ -104,9 +112,13 @@ func (q *eventQueue) push(e Event) {
 func (q *eventQueue) pop(ctx context.Context) (Event, error) {
 	for {
 		q.mu.Lock()
-		if len(q.events) > 0 {
-			e := q.events[0]
-			q.events = q.events[1:]
+		if q.head < len(q.events) {
+			e := q.events[q.head]
+			q.events[q.head] = Event{} // drop the Command reference
+			q.head++
+			if q.head == len(q.events) {
+				q.events, q.head = q.events[:0], 0
+			}
 			q.mu.Unlock()
 			return e, nil
 		}

@@ -763,9 +763,11 @@ func (nd *Node) statusLocked() Status {
 	}
 }
 
-// Subscription delivers a node's events in order, without loss.
+// Subscription delivers a node's events of the subscribed kinds in
+// order, without loss.
 type Subscription struct {
-	q *eventQueue
+	q    *eventQueue
+	mask uint64 // bit k set: deliver EventKind k
 }
 
 // Next returns the next event, blocking until one arrives, the context is
@@ -774,21 +776,36 @@ func (s *Subscription) Next(ctx context.Context) (Event, error) {
 	return s.q.pop(ctx)
 }
 
-// Subscribe registers a new event stream. Events emitted before the
-// subscription are not replayed.
-func (nd *Node) Subscribe() *Subscription {
-	s := &Subscription{q: newEventQueue()}
+// Subscribe registers a new event stream that delivers only the listed
+// kinds, or every kind when none is listed. The filter is applied at
+// emit, so events of other kinds cost the subscription nothing, and it
+// is lossless for the listed kinds: each one emitted is delivered, in
+// emit order. Events emitted before the subscription are not replayed.
+func (nd *Node) Subscribe(kinds ...EventKind) *Subscription {
+	s := &Subscription{q: newEventQueue(), mask: ^uint64(0)}
+	if len(kinds) > 0 {
+		s.mask = 0
+		for _, k := range kinds {
+			s.mask |= 1 << uint(k)
+		}
+	}
 	nd.subMu.Lock()
 	defer nd.subMu.Unlock()
 	nd.subs = append(nd.subs, s)
 	return s
 }
 
+// emit delivers e to every subscriber whose kind filter includes
+// e.Kind; subscribers that did not ask for the kind are skipped without
+// touching their queues. Delivery to an included subscriber never
+// drops: its unbounded queue takes every listed event.
 func (nd *Node) emit(e Event) {
 	nd.subMu.Lock()
 	defer nd.subMu.Unlock()
 	for _, s := range nd.subs {
-		s.q.push(e)
+		if s.mask&(1<<uint(e.Kind)) != 0 {
+			s.q.push(e)
+		}
 	}
 }
 

@@ -42,13 +42,14 @@ type VAC[V comparable] struct {
 var _ core.VacillateAdoptCommit[int] = (*VAC[int])(nil)
 
 // NewVAC wraps a started-or-startable ManualCampaign node. Subscribe
-// happens here, so construct the VAC before calling node.Start to avoid
+// happens here, to the three kinds Propose reads (timeout, appended,
+// committed), so construct the VAC before calling node.Start to avoid
 // missing early events.
 func NewVAC[V comparable](node *Node) (*VAC[V], error) {
 	if !node.cfg.ManualCampaign {
 		return nil, fmt.Errorf("raft: VAC requires a ManualCampaign node")
 	}
-	return &VAC[V]{node: node, sub: node.Subscribe()}, nil
+	return &VAC[V]{node: node, sub: node.Subscribe(EventTimeout, EventAppended, EventCommitted)}, nil
 }
 
 // Propose implements core.VacillateAdoptCommit. The input v is only a

@@ -323,10 +323,12 @@ func (c *Cluster) Start(ctx context.Context) error {
 		c.groups[s] = g
 	}
 	// Subscribe the placement watchers before starting any node so no
-	// EventBecameLeader is missed, then start and place.
+	// EventBecameLeader is missed, then start and place. They ask for
+	// leader changes only: a full stream would queue and wake for every
+	// appended, committed and applied entry, only to discard it.
 	for _, g := range c.groups {
 		for id, node := range g.Nodes {
-			go c.watchLeadership(ctx, g.Shard, id, node.Subscribe())
+			go c.watchLeadership(ctx, g.Shard, id, node.Subscribe(raft.EventBecameLeader))
 		}
 	}
 	for _, g := range c.groups {
@@ -379,17 +381,14 @@ const (
 	clientRole uint64 = 2 << 32
 )
 
-// watchLeadership follows one replica's event stream and feeds leader
-// transitions into the placement table.
+// watchLeadership follows one replica's leader-only event stream and
+// feeds its leader transitions into the placement table.
 func (c *Cluster) watchLeadership(ctx context.Context, shard, node int, sub *raft.Subscription) {
 	for {
-		ev, err := sub.Next(ctx)
-		if err != nil {
+		if _, err := sub.Next(ctx); err != nil {
 			return
 		}
-		if ev.Kind == raft.EventBecameLeader {
-			c.noteLeader(shard, node)
-		}
+		c.noteLeader(shard, node)
 	}
 }
 

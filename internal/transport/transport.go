@@ -114,6 +114,7 @@ type Transport struct {
 	conns   map[int]*outConn
 	inbound map[net.Conn]struct{}
 	pending []msgnet.Message
+	head    int // pending[head:] are queued; the array is reused once drained
 	closed  bool
 	notify  chan struct{}
 
@@ -219,7 +220,7 @@ func (tr *Transport) send(to int, payload any, flush bool) error {
 		return msgnet.ErrClosed
 	}
 	if to == tr.id {
-		tr.pending = append(tr.pending, msgnet.Message{From: tr.id, To: to, Payload: payload})
+		tr.enqueueLocked(msgnet.Message{From: tr.id, To: to, Payload: payload})
 		tr.mu.Unlock()
 		tr.wake()
 		tr.rec.Send(tr.id, to, 0, 0, payload)
@@ -254,20 +255,25 @@ func (tr *Transport) send(to int, payload any, flush bool) error {
 // encodeLocked writes one message into oc's buffered writer and reports
 // the framed byte count. Caller holds tr.mu.
 func (tr *Transport) encodeLocked(oc *outConn, payload any) (int, error) {
-	frame, err := codec.AppendMax(oc.scratch[:0], payload, tr.maxVer)
-	oc.scratch = frame[:0] // keep growth for the next frame
+	// The body is encoded after a reserved MaxVarintLen64-byte gap and
+	// its length prefix is copied into the gap's tail, so the frame leaves
+	// in one Write. Writing a header array of its own would move it to
+	// the heap on every message: bufio.Writer.Write may hand its argument
+	// to the conn.
+	const gap = binary.MaxVarintLen64
+	buf, err := codec.AppendMax(append(oc.scratch[:0], make([]byte, gap)...), payload, tr.maxVer)
+	oc.scratch = buf[:0] // keep growth for the next frame
 	if err != nil {
 		return 0, err
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(frame)))
-	if _, err := oc.bw.Write(hdr[:n]); err != nil {
-		return 0, err
-	}
+	var hdr [gap]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(buf)-gap))
+	frame := buf[gap-n:]
+	copy(frame, hdr[:n])
 	if _, err := oc.bw.Write(frame); err != nil {
 		return 0, err
 	}
-	return n + len(frame), nil
+	return len(frame), nil
 }
 
 // Broadcast implements msgnet.Endpoint. Each peer's copy is encoded into
@@ -305,9 +311,13 @@ func (tr *Transport) flushAll() {
 func (tr *Transport) Recv(ctx context.Context) (msgnet.Message, error) {
 	for {
 		tr.mu.Lock()
-		if len(tr.pending) > 0 {
-			m := tr.pending[0]
-			tr.pending = tr.pending[1:]
+		if tr.head < len(tr.pending) {
+			m := tr.pending[tr.head]
+			tr.pending[tr.head] = msgnet.Message{} // drop the payload reference
+			tr.head++
+			if tr.head == len(tr.pending) {
+				tr.pending, tr.head = tr.pending[:0], 0
+			}
 			tr.mu.Unlock()
 			tr.rec.Deliver(tr.id, m.From, 0, m.Payload)
 			return m, nil
@@ -361,9 +371,21 @@ func (tr *Transport) deliver(m msgnet.Message) {
 		tr.mu.Unlock()
 		return
 	}
-	tr.pending = append(tr.pending, m)
+	tr.enqueueLocked(m)
 	tr.mu.Unlock()
 	tr.wake()
+}
+
+// enqueueLocked appends m to the inbound queue. Caller holds tr.mu.
+func (tr *Transport) enqueueLocked(m msgnet.Message) {
+	if tr.head > 0 && len(tr.pending) == cap(tr.pending) {
+		// Full behind a popped prefix: slide the queued messages down
+		// rather than let append carry the dead slots into a bigger array.
+		n := copy(tr.pending, tr.pending[tr.head:])
+		clear(tr.pending[n:])
+		tr.pending, tr.head = tr.pending[:n], 0
+	}
+	tr.pending = append(tr.pending, m)
 }
 
 // connLocked returns the outbound connection to peer, dialing if needed.
