@@ -16,14 +16,18 @@ import (
 // the poll period and stole main-loop iterations from the commit
 // pipeline it was waiting on. The notifier replaces that with
 // edge-triggered wakeups: the apply worker calls advance after each
-// apply batch (one mutex acquisition and at most one channel rotation),
-// and waiters block on a closed-channel broadcast without the main loop
-// ever seeing them.
+// apply batch (one mutex acquisition, and a channel rotation only when
+// someone waits), and waiters block on a closed-channel broadcast
+// without the main loop ever seeing them.
 type appliedNotifier struct {
 	mu   sync.Mutex
 	idx  int
 	term int           // term of the entry at idx (the snapshot's, after a restore)
-	ch   chan struct{} // closed and rotated whenever idx advances
+	ch   chan struct{} // closed and rotated when idx advances while held
+	// held records that a waiter took ch since its last rotation. A
+	// channel nobody holds wakes nobody, so advance keeps it — followers,
+	// whose applies nobody waits on, rotate nothing.
+	held bool
 	// cur mirrors idx for lock-free reads: the apply worker is the
 	// advancing side and the main loop polls the value on every read it
 	// serves, so the read must not contend with waiter wakeups.
@@ -43,8 +47,10 @@ func (a *appliedNotifier) advance(idx, term int) {
 	if idx > a.idx {
 		a.idx, a.term = idx, term
 		a.cur.Store(int64(idx))
-		close(a.ch)
-		a.ch = make(chan struct{})
+		if a.held {
+			close(a.ch)
+			a.ch, a.held = make(chan struct{}), false
+		}
 	}
 	a.mu.Unlock()
 }
@@ -72,11 +78,13 @@ func (a *appliedNotifier) wait(ctx context.Context, stop <-chan struct{}, index 
 	for {
 		a.mu.Lock()
 		idx, term = a.idx, a.term
-		ch := a.ch
-		a.mu.Unlock()
 		if idx >= index {
+			a.mu.Unlock()
 			return idx, term, nil
 		}
+		ch := a.ch
+		a.held = true
+		a.mu.Unlock()
 		select {
 		case <-ch:
 		case <-ctx.Done():

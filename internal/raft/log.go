@@ -75,7 +75,10 @@ func (l *raftLog) appendAfter(prevIndex int, entries []Entry) (lastNew int, trun
 			if l.entries[pos].Term == e.Term {
 				continue // already present
 			}
-			l.entries = l.entries[:pos]
+			// Copy-on-truncate: capping the capacity at pos makes the next
+			// append start a fresh array, so views handed out by slice and
+			// sliceLimit never see the replacement entries.
+			l.entries = l.entries[:pos:pos]
 			truncated = true
 		}
 		l.entries = append(l.entries, e)
@@ -90,26 +93,25 @@ func (l *raftLog) appendEntry(e Entry) int {
 	return l.lastIndex()
 }
 
-// slice returns a copy of entries[from..last] (global indexes,
-// inclusive). Requests reaching into the compacted prefix are clamped to
-// the available tail — the caller must detect from <= snapIndex and ship
-// a snapshot instead.
+// slice returns entries[from..last] (global indexes, inclusive) as a
+// read-only view of the log, not a copy. Requests reaching into the
+// compacted prefix are clamped to the available tail — the caller must
+// detect from <= snapIndex and ship a snapshot instead.
+//
+// The view's capacity is capped at its length and the log never writes
+// into an array slot once handed out: appendEntry writes only past the
+// end, appendAfter truncates copy-on-write, and compactTo and
+// restoreSnapshot move the tail to a new array. A view held by a persist
+// mutation, an AppendEntries or an apply batch therefore keeps its
+// entries however the log changes afterwards. Holders must not write
+// through it.
 func (l *raftLog) slice(from int) []Entry {
-	if from <= l.snapIndex {
-		from = l.snapIndex + 1
-	}
-	if from > l.lastIndex() {
-		return nil
-	}
-	pos := from - l.snapIndex - 1
-	out := make([]Entry, len(l.entries)-pos)
-	copy(out, l.entries[pos:])
-	return out
+	return l.sliceLimit(from, 0)
 }
 
-// sliceLimit returns a copy of at most max entries starting at the
-// global index from — the unit a pipelined AppendEntries carries. A
-// non-positive max means no limit.
+// sliceLimit is slice bounded to at most max entries — the unit a
+// pipelined AppendEntries carries. A non-positive max means no limit.
+// The result is a read-only view with slice's guarantees.
 func (l *raftLog) sliceLimit(from, max int) []Entry {
 	if from <= l.snapIndex {
 		from = l.snapIndex + 1
@@ -118,13 +120,11 @@ func (l *raftLog) sliceLimit(from, max int) []Entry {
 		return nil
 	}
 	pos := from - l.snapIndex - 1
-	n := len(l.entries) - pos
-	if max > 0 && n > max {
-		n = max
+	end := len(l.entries)
+	if max > 0 && end-pos > max {
+		end = pos + max
 	}
-	out := make([]Entry, n)
-	copy(out, l.entries[pos:pos+n])
-	return out
+	return l.entries[pos:end:end]
 }
 
 // compactTo discards entries up to and including index, which must be
@@ -151,7 +151,9 @@ func (l *raftLog) compactTo(index int) {
 // log is replaced by the snapshot marker.
 func (l *raftLog) restoreSnapshot(index, term int) {
 	if t, ok := l.termAt(index); ok && t == term && index <= l.lastIndex() {
-		l.entries = l.slice(index + 1)
+		// A copy, not a view: the retained suffix must not pin the
+		// discarded prefix's array.
+		l.entries = append([]Entry(nil), l.slice(index+1)...)
 	} else {
 		l.entries = nil
 	}

@@ -131,11 +131,91 @@ func TestSlice(t *testing.T) {
 	if got := l.slice(0); len(got) != 3 {
 		t.Fatalf("slice(0) len %d, want clamped to full", len(got))
 	}
-	// Mutating the returned slice must not corrupt the log.
-	s := l.slice(1)
-	s[0].Term = 99
-	if term, _ := l.termAt(1); term != 1 {
-		t.Fatal("slice aliases log storage")
+	if got := l.sliceLimit(2, 1); len(got) != 1 || got[0].Term != 2 {
+		t.Fatalf("sliceLimit(2, 1) = %v", got)
+	}
+	if got := l.sliceLimit(1, 0); len(got) != 3 {
+		t.Fatalf("sliceLimit(1, 0) len %d, want unlimited", len(got))
+	}
+}
+
+// TestLogViewsSurviveTruncate checks the read-only view contract of slice
+// and sliceLimit: a view taken before the log is truncated and rewritten
+// at the same indexes, compacted, or reset around a snapshot still holds
+// its original entries afterwards. The log is built with spare capacity,
+// so an in-place rewrite would land in the viewed array.
+func TestLogViewsSurviveTruncate(t *testing.T) {
+	type view struct {
+		name string
+		got  []Entry
+		want []Entry
+	}
+	var views []view
+	take := func(name string, v []Entry) {
+		if cap(v) != len(v) {
+			t.Fatalf("%s: view has cap %d > len %d; an append would write into it", name, cap(v), len(v))
+		}
+		views = append(views, view{name, v, append([]Entry(nil), v...)})
+	}
+	check := func(after string) {
+		t.Helper()
+		for _, v := range views {
+			for i := range v.want {
+				if v.got[i] != v.want[i] {
+					t.Fatalf("after %s: view %s[%d] = %v, want %v", after, v.name, i, v.got[i], v.want[i])
+				}
+			}
+		}
+	}
+
+	l := &raftLog{entries: make([]Entry, 0, 32)}
+	for i := 1; i <= 6; i++ {
+		l.appendEntry(Entry{Term: 1, Command: i})
+	}
+	take("slice(1)", l.slice(1))
+	take("sliceLimit(3,2)", l.sliceLimit(3, 2))
+	take("slice(5)", l.slice(5)) // reaches the end of the log
+
+	// A later leader's entries conflict from index 3 on.
+	if _, truncated := l.appendAfter(2, []Entry{{Term: 2, Command: "x3"}, {Term: 2, Command: "x4"}, {Term: 2, Command: "x5"}}); !truncated {
+		t.Fatal("conflicting appendAfter did not truncate")
+	}
+	if e, _ := l.entryAt(3); e.Command != "x3" {
+		t.Fatalf("log entry 3 = %v after the rewrite", e)
+	}
+	check("appendAfter truncated and rewrote 3..5")
+	l.appendEntry(Entry{Term: 2, Command: "x6"})
+	check("appendEntry after the truncation")
+
+	take("slice(2) after rewrite", l.slice(2))
+	l.compactTo(3)
+	check("compactTo(3)")
+	l.appendEntry(Entry{Term: 2, Command: "x7"})
+	take("slice(4) after compaction", l.slice(4))
+	l.restoreSnapshot(5, 2) // matching entry: the suffix is retained
+	if e, _ := l.entryAt(6); e.Command != "x6" {
+		t.Fatalf("restoreSnapshot dropped the live suffix: entry 6 = %v", e)
+	}
+	check("restoreSnapshot(5, 2)")
+	take("slice(6) after restore", l.slice(6))
+	l.restoreSnapshot(9, 3) // no such entry: the whole log is replaced
+	l.appendEntry(Entry{Term: 3, Command: "y10"})
+	check("restoreSnapshot(9, 3)")
+}
+
+// TestLogViewsZeroAlloc is the allocation gate for the read-only views:
+// slice and sliceLimit hand out the log's own array, never a copy.
+func TestLogViewsZeroAlloc(t *testing.T) {
+	l := logOf(1, 1, 2, 2, 3, 3)
+	var n int
+	allocs := testing.AllocsPerRun(1000, func() {
+		n += len(l.slice(2)) + len(l.sliceLimit(1, 4))
+	})
+	if allocs != 0 {
+		t.Fatalf("slice + sliceLimit allocate %.1f/op; want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("views were empty")
 	}
 }
 
@@ -235,17 +315,17 @@ func TestKVStore(t *testing.T) {
 
 func TestStringers(t *testing.T) {
 	checks := map[string]string{
-		RequestVote{Term: 1, CandidateID: 2}.String():                    "RequestVote{t=1 cand=2 lastIdx=0 lastTerm=0}",
-		RequestVoteReply{Term: 1}.String():                               "RequestVoteReply{t=1 granted=false}",
-		AppendEntriesReply{Term: 2, Success: true}.String():              "AppendEntriesReply{t=2 ok=true match=0 hint=0 read=0}",
-		ReadIndexRequest{Term: 3, ID: 7}.String():                        "ReadIndexRequest{t=3 id=7 lease=false}",
+		RequestVote{Term: 1, CandidateID: 2}.String():                                 "RequestVote{t=1 cand=2 lastIdx=0 lastTerm=0}",
+		RequestVoteReply{Term: 1}.String():                                            "RequestVoteReply{t=1 granted=false}",
+		AppendEntriesReply{Term: 2, Success: true}.String():                           "AppendEntriesReply{t=2 ok=true match=0 hint=0 read=0}",
+		ReadIndexRequest{Term: 3, ID: 7}.String():                                     "ReadIndexRequest{t=3 id=7 lease=false}",
 		ReadIndexReply{Term: 3, ID: 7, Index: 4, Success: true, LeaderID: 1}.String(): "ReadIndexReply{t=3 id=7 idx=4 ok=true lease=false ldr=1}",
-		DS{Value: 5}.String():                                            "D&S(5)",
-		Follower.String():                                                "follower",
-		Leader.String():                                                  "leader",
-		State(9).String():                                                "State(9)",
-		EventTimeout.String():                                            "timeout",
-		EventKind(42).String():                                           "EventKind(42)",
+		DS{Value: 5}.String():                                                         "D&S(5)",
+		Follower.String():                                                             "follower",
+		Leader.String():                                                               "leader",
+		State(9).String():                                                             "State(9)",
+		EventTimeout.String():                                                         "timeout",
+		EventKind(42).String():                                                        "EventKind(42)",
 	}
 	for got, want := range checks {
 		if got != want {

@@ -56,11 +56,11 @@ type nodeMetrics struct {
 	// landed (the pipelined win) or after (disk was not the bottleneck);
 	// self-ack lag is commitIndex − durableIndex at the moment the
 	// leader's fsync completes, i.e. how far the followers ran ahead.
-	persistDepth   *metrics.Gauge
-	applyDepth     *metrics.Gauge
-	commitOverlap  *metrics.Counter // commit reached before leader fsync
-	commitInOrder  *metrics.Counter // leader fsync landed first
-	selfAckLag     *metrics.Histogram
+	persistDepth  *metrics.Gauge
+	applyDepth    *metrics.Gauge
+	commitOverlap *metrics.Counter // commit reached before leader fsync
+	commitInOrder *metrics.Counter // leader fsync landed first
+	selfAckLag    *metrics.Histogram
 
 	// pending maps a leader-appended log index to its append time; the
 	// entry is consumed when that index commits. Losing leadership

@@ -189,6 +189,8 @@ type Node struct {
 	preVotes map[int]bool // nil unless a pre-vote probe is in flight
 	campaign any          // value to propose upon winning a manual campaign
 
+	cmdScratch []any // handleProposeBatch's command list, reused per batch
+
 	electionDeadline time.Time
 
 	fatal error // set on persistence failure; stops the loop
@@ -209,7 +211,8 @@ type Node struct {
 	// worth a goroutine). durableIndex is the highest log index the
 	// leader's own disk holds — its self-ack for quorum — raised as
 	// persist batches complete (FIFO targets in pendingPersist, clamped
-	// by truncations while in flight).
+	// by truncations while in flight; pendingPersist[persistHead:] are in
+	// flight and the array is reused once drained).
 	pipePersist   bool
 	applyQ        chan applyItem
 	applyErrCh    chan error
@@ -218,11 +221,19 @@ type Node struct {
 	persistDoneCh chan persistDone
 
 	durableIndex   int
-	pendingPersist []int
+	pendingPersist []inflightBatch
+	persistHead    int
 	pendingSnap    *snapStage
 	snapAfterMuts  int
 	snapCache      snapCache
 	bootSnapIndex  int
+
+	// Free lists of the persist handoff's buffers, main loop only: a
+	// batch's log mutations and fenced release bundle come back here,
+	// cleared, once its run completes (onPersistDone).
+	freeMuts    [][]LogMutation
+	freeMsgs    [][]outMsg
+	freeReplies [][]stagedReply
 
 	// Read fast-path state (see read.go). Leader side: readSeq numbers
 	// confirmation rounds, reads holds the unconfirmed ones, curRound is
@@ -302,6 +313,14 @@ type proposeReply struct {
 	term  int // the accepting leader's term: the entry's term at index
 	err   error
 }
+
+// replyChans recycles the 1-buffered reply channels of proposals and
+// reads; the node sends exactly one reply on each. A caller puts its
+// channel back only after it has received that reply. A caller that
+// gives up after its request was enqueued (ctx, stop) abandons the
+// channel instead: the late reply may still land in it, and must never
+// reach the channel's next user.
+var replyChans = sync.Pool{New: func() any { return make(chan proposeReply, 1) }}
 
 // NewNode validates cfg and builds a node; call Start to run it. When
 // cfg.Storage is set, the persisted term, vote, and log are restored
@@ -384,10 +403,14 @@ func (nd *Node) persistState() {
 }
 
 // persistLog stages a log mutation (Storage.TruncateAndAppend semantics)
-// for the iteration's flush.
+// for the iteration's flush. entries is kept, not copied: a log view or a
+// received AppendEntries' entries, read-only either way.
 func (nd *Node) persistLog(prevIndex int, entries []Entry) {
 	if nd.cfg.Storage == nil {
 		return
+	}
+	if nd.pendingLog == nil {
+		nd.pendingLog = takeBuf(&nd.freeMuts)
 	}
 	nd.pendingLog = append(nd.pendingLog, LogMutation{PrevIndex: prevIndex, Entries: entries})
 }
@@ -669,7 +692,8 @@ func (nd *Node) Propose(ctx context.Context, cmd any) (index int, err error) {
 // term the entry carries at its index, which lets Client.SubmitWait tell
 // its own entry from a replacement a later leader wrote there.
 func (nd *Node) propose(ctx context.Context, cmd any) (proposeReply, error) {
-	req := proposeReq{cmd: cmd, reply: make(chan proposeReply, 1)}
+	ch := replyChans.Get().(chan proposeReply)
+	req := proposeReq{cmd: cmd, reply: ch}
 	if id := rtrace.FromContext(ctx); id != 0 {
 		req.trace = id
 		req.enq = nd.cfg.Tracer.Now(id)
@@ -677,15 +701,18 @@ func (nd *Node) propose(ctx context.Context, cmd any) (proposeReply, error) {
 	select {
 	case nd.proposeCh <- req:
 	case <-ctx.Done():
+		replyChans.Put(ch) // never enqueued, so no reply can come
 		return proposeReply{}, ctx.Err()
 	case <-nd.stopped:
+		replyChans.Put(ch)
 		return proposeReply{}, ErrStopped
 	}
 	select {
-	case rep := <-req.reply:
+	case rep := <-ch:
+		replyChans.Put(ch)
 		return rep, rep.err
 	case <-ctx.Done():
-		return proposeReply{}, ctx.Err()
+		return proposeReply{}, ctx.Err() // ch is abandoned: see replyChans
 	case <-nd.stopped:
 		return proposeReply{}, ErrStopped
 	}
@@ -1093,11 +1120,13 @@ func (nd *Node) handleProposeBatch(reqs []proposeReq) {
 		return
 	}
 	nd.met.onProposeBatch(len(reqs))
-	cmds := make([]any, len(reqs))
-	for i, r := range reqs {
-		cmds[i] = r.cmd
+	cmds := nd.cmdScratch[:0]
+	for _, r := range reqs {
+		cmds = append(cmds, r.cmd)
 	}
 	first := nd.appendLocalBatch(cmds)
+	clear(cmds)
+	nd.cmdScratch = cmds
 	var drained time.Time // one clock read even if several proposals are sampled
 	for i, r := range reqs {
 		nd.replies = append(nd.replies, stagedReply{ch: r.reply, reply: proposeReply{index: first + i, term: nd.hs.currentTerm}, fenced: true})

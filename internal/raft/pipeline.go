@@ -48,9 +48,9 @@ import (
 const persistQueueCap = 64
 
 // persistReq is one group-committed batch handed to the persist worker:
-// the staged durable mutations of one (or more) main-loop iterations
-// plus the fenced externalizations that must not depart before the
-// batch is durable.
+// the staged durable mutations of one (or more) main-loop iterations.
+// The fenced externalizations that must not depart before the batch is
+// durable stay with the main loop, in the batch's inflightBatch.
 type persistReq struct {
 	setState   bool
 	term, vote int
@@ -63,7 +63,17 @@ type persistReq struct {
 	// the worker stamps the interval itself, overlapping the network
 	// phase the main loop opened at broadcast departure.
 	traced []rtrace.ID
-	// Release bundle: externalized by the main loop on completion.
+}
+
+// inflightBatch is the main loop's record of one persistReq in flight,
+// FIFO with persistQ: the batch's durable target (clamped by
+// truncations while in flight) and the buffers it owns until its run
+// completes — the log mutations lent to the worker and the fenced
+// release bundle. onPersistDone releases the bundle and puts all three
+// buffers back on the main loop's free lists.
+type inflightBatch struct {
+	target  int
+	muts    []LogMutation
 	msgs    []outMsg
 	replies []stagedReply
 }
@@ -75,15 +85,43 @@ type snapStage struct {
 }
 
 // persistDone reports the completion of a run of n consecutive batches,
-// FIFO with persistQ. The durable targets ride the main loop's
-// pendingPersist queue instead so truncations can clamp them while the
-// run is in flight; msgs and replies are the runs' release bundles
-// concatenated in staging order.
+// FIFO with persistQ: the main loop pops the run's n inflightBatches.
 type persistDone struct {
-	err     error
-	n       int // persistReqs this run covered
-	msgs    []outMsg
-	replies []stagedReply
+	err error
+	n   int // persistReqs this run covered
+}
+
+// persistRun is the persist worker's reusable scratch: the run's
+// requests and the mutations and traced ops merged into the next
+// AppendBatch. Only the worker touches it, and it is cleared after each
+// use so it pins no entries.
+type persistRun struct {
+	reqs   []persistReq
+	muts   []LogMutation
+	traced []rtrace.ID
+}
+
+// takeBuf pops a cleared buffer off a main-loop free list; nil when the
+// list is empty (append then allocates one).
+func takeBuf[T any](free *[][]T) []T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	buf := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return buf
+}
+
+// putBuf clears buf, dropping its payload references, and pushes it onto
+// a main-loop free list.
+func putBuf[T any](free *[][]T, buf []T) {
+	if cap(buf) == 0 {
+		return
+	}
+	clear(buf)
+	*free = append(*free, buf[:0])
 }
 
 // applyItem is one unit of apply-worker input: a batch of committed
@@ -164,19 +202,28 @@ func (nd *Node) flush() {
 		return
 	}
 	havePersist := nd.stateDirty || len(nd.pendingLog) > 0 || nd.pendingSnap != nil
-	fence := havePersist || len(nd.pendingPersist) > 0
+	fence := havePersist || len(nd.pendingPersist) > nd.persistHead
 	var fencedMsgs []outMsg
 	var fencedReplies []stagedReply
 	for _, m := range nd.outbox {
 		if fence && fencedMsg(m.payload) {
+			if fencedMsgs == nil {
+				fencedMsgs = takeBuf(&nd.freeMsgs)
+			}
 			fencedMsgs = append(fencedMsgs, m)
 			continue
 		}
 		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
 	}
+	// Cleared, not only truncated: a stale AppendEntries left in the
+	// array would pin the whole log array its entries view.
+	clear(nd.outbox)
 	nd.outbox = nd.outbox[:0]
 	for _, r := range nd.replies {
 		if fence && r.fenced {
+			if fencedReplies == nil {
+				fencedReplies = takeBuf(&nd.freeReplies)
+			}
 			fencedReplies = append(fencedReplies, r)
 			continue
 		}
@@ -193,7 +240,9 @@ func (nd *Node) flush() {
 // none: a pure fence barrier) to the persist worker and records its
 // durable target. A mutation that truncates below durableIndex clamps
 // both the index and every in-flight batch's target: the disk will hold
-// the *new* entries at those indexes only once this batch lands.
+// the *new* entries at those indexes only once this batch lands. msgs
+// and replies become the batch's release bundle; the batch owns them,
+// and pendingLog, until its run completes.
 func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 	req := persistReq{
 		setState:  nd.stateDirty,
@@ -202,11 +251,9 @@ func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 		muts:      nd.pendingLog,
 		snap:      nd.pendingSnap,
 		snapAfter: nd.snapAfterMuts,
-		msgs:      msgs,
-		replies:   replies,
 	}
 	nd.stateDirty = false
-	nd.pendingLog = nil // the worker owns the slice now
+	nd.pendingLog = nil // the batch owns the slice now
 	nd.pendingSnap = nil
 	nd.snapAfterMuts = 0
 	if len(nd.tracedUnsynced) > 0 {
@@ -227,7 +274,14 @@ func (nd *Node) stagePersistBatch(msgs []outMsg, replies []stagedReply) {
 	if target < nd.durableIndex {
 		nd.clampDurable(target) // snapshot install shrank the log
 	}
-	nd.pendingPersist = append(nd.pendingPersist, target)
+	if nd.persistHead > 0 && len(nd.pendingPersist) == cap(nd.pendingPersist) {
+		// Slide the backlog down rather than grow an array whose front
+		// is already popped.
+		n := copy(nd.pendingPersist, nd.pendingPersist[nd.persistHead:])
+		clear(nd.pendingPersist[n:])
+		nd.pendingPersist, nd.persistHead = nd.pendingPersist[:n], 0
+	}
+	nd.pendingPersist = append(nd.pendingPersist, inflightBatch{target: target, muts: req.muts, msgs: msgs, replies: replies})
 	// A full queue is persistence backpressure — but block with the
 	// completion channel in hand, so a worker stalled on a full
 	// persistDoneCh can always make progress and the pair cannot
@@ -250,9 +304,9 @@ func (nd *Node) clampDurable(idx int) {
 	if idx < nd.durableIndex {
 		nd.durableIndex = idx
 	}
-	for i, t := range nd.pendingPersist {
-		if t > idx {
-			nd.pendingPersist[i] = idx
+	for i := nd.persistHead; i < len(nd.pendingPersist); i++ {
+		if nd.pendingPersist[i].target > idx {
+			nd.pendingPersist[i].target = idx
 		}
 	}
 }
@@ -267,72 +321,54 @@ func (nd *Node) clampDurable(idx int) {
 // all of them.
 func (nd *Node) persistWorker() {
 	defer nd.workers.Done()
+	var run persistRun
 	for {
 		select {
 		case req := <-nd.persistQ:
-			reqs := append(make([]persistReq, 0, 16), req)
+			run.reqs = append(run.reqs, req)
 		drained:
 			for {
 				select {
 				case r := <-nd.persistQ:
-					reqs = append(reqs, r)
+					run.reqs = append(run.reqs, r)
 				default:
 					break drained
 				}
 			}
-			nd.persistDoneCh <- nd.doPersistRun(reqs)
+			nd.persistDoneCh <- nd.doPersistRun(&run)
 		case <-nd.stopped:
 			return
 		}
 	}
 }
 
-// doPersistRun executes a run of batches, merging consecutive log
-// mutations into single AppendBatch calls. Scalar state and snapshot
-// records force a flush first, preserving the exact storage-call order
-// the batches were staged in (term/vote of batch i lands after the
-// entries of batches < i, before its own). On error the whole run's
-// release bundle is withheld — nothing externalizes over unpersisted
-// state — and the main loop stops the node.
-func (nd *Node) doPersistRun(reqs []persistReq) persistDone {
+// doPersistRun executes the run of batches in run.reqs, merging
+// consecutive log mutations into single AppendBatch calls. Scalar state
+// and snapshot records force a flush first, preserving the exact
+// storage-call order the batches were staged in (term/vote of batch i
+// lands after the entries of batches < i, before its own). On error the
+// main loop withholds the whole run's release bundles — nothing
+// externalizes over unpersisted state — and stops the node. The run is
+// left empty for reuse.
+func (nd *Node) doPersistRun(run *persistRun) persistDone {
+	done := persistDone{n: len(run.reqs), err: nd.persistReqs(run)}
+	clear(run.reqs)
+	run.reqs = run.reqs[:0]
+	clear(run.muts) // drop entry references left by a failed flush
+	run.muts, run.traced = run.muts[:0], run.traced[:0]
+	return done
+}
+
+// persistReqs issues the run's storage calls in staging order.
+func (nd *Node) persistReqs(run *persistRun) error {
 	st := nd.cfg.Storage
-	var muts []LogMutation
-	var traced []rtrace.ID
-	flush := func() error {
-		if len(muts) == 0 {
-			return nil
-		}
-		var t0 time.Time
-		if len(traced) > 0 {
-			t0 = time.Now()
-		}
-		nd.met.onStorageFlush(len(muts)) // atomic instruments; worker-safe
-		if err := st.AppendBatch(muts); err != nil {
-			return err
-		}
-		if len(traced) > 0 {
-			// One group-committed fsync; every traced op in the run
-			// waited the full interval. Stamped here, it overlaps the
-			// network phase the main loop opened at broadcast time. The
-			// width marks whether the interval was a shared cross-group
-			// barrier (sync coalescing) rather than a private fsync.
-			t1 := time.Now()
-			width := barrierWidth(st)
-			for _, id := range traced {
-				nd.cfg.Tracer.ObserveFsync(id, nd.cfg.ID, t0, t1, width)
-			}
-		}
-		muts, traced = muts[:0], traced[:0]
-		return nil
-	}
-	done := persistDone{n: len(reqs)}
-	for _, req := range reqs {
+	for _, req := range run.reqs {
 		if req.setState {
-			if err := flush(); err != nil {
-				return persistDone{err: err, n: len(reqs)}
+			if err := nd.flushRun(run); err != nil {
+				return err
 			}
 			if err := st.SetState(req.term, req.vote); err != nil {
-				return persistDone{err: err, n: len(reqs)}
+				return err
 			}
 		}
 		pre := req.muts
@@ -340,56 +376,96 @@ func (nd *Node) doPersistRun(reqs []persistReq) persistDone {
 			if req.snapAfter < len(pre) {
 				pre = pre[:req.snapAfter]
 			}
-			muts = append(muts, pre...)
-			if err := flush(); err != nil {
-				return persistDone{err: err, n: len(reqs)}
+			run.muts = append(run.muts, pre...)
+			if err := nd.flushRun(run); err != nil {
+				return err
 			}
 			if err := st.SaveSnapshot(req.snap.index, req.snap.term, req.snap.data); err != nil {
-				return persistDone{err: err, n: len(reqs)}
+				return err
 			}
 			if req.snapAfter < len(req.muts) {
-				muts = append(muts, req.muts[req.snapAfter:]...)
+				run.muts = append(run.muts, req.muts[req.snapAfter:]...)
 			}
 		} else {
-			muts = append(muts, pre...)
+			run.muts = append(run.muts, pre...)
 		}
-		traced = append(traced, req.traced...)
-		done.msgs = append(done.msgs, req.msgs...)
-		done.replies = append(done.replies, req.replies...)
+		run.traced = append(run.traced, req.traced...)
 	}
-	if err := flush(); err != nil {
-		return persistDone{err: err, n: len(reqs)}
+	return nd.flushRun(run)
+}
+
+// flushRun writes the run's merged mutations as one AppendBatch — one
+// durability barrier — and stamps the fsync phase of its traced ops.
+func (nd *Node) flushRun(run *persistRun) error {
+	if len(run.muts) == 0 {
+		return nil
 	}
-	return done
+	st := nd.cfg.Storage
+	var t0 time.Time
+	if len(run.traced) > 0 {
+		t0 = time.Now()
+	}
+	nd.met.onStorageFlush(len(run.muts)) // atomic instruments; worker-safe
+	if err := st.AppendBatch(run.muts); err != nil {
+		return err
+	}
+	if len(run.traced) > 0 {
+		// One group-committed fsync; every traced op in the run waited
+		// the full interval. Stamped here, it overlaps the network phase
+		// the main loop opened at broadcast time. The width marks
+		// whether the interval was a shared cross-group barrier (sync
+		// coalescing) rather than a private fsync.
+		t1 := time.Now()
+		width := barrierWidth(st)
+		for _, id := range run.traced {
+			nd.cfg.Tracer.ObserveFsync(id, nd.cfg.ID, t0, t1, width)
+		}
+	}
+	clear(run.muts)
+	run.muts, run.traced = run.muts[:0], run.traced[:0]
+	return nil
 }
 
 // onPersistDone runs on the main loop when a run of batches lands:
 // raise durableIndex to the run's last (possibly clamped) target,
-// externalize the fenced bundles, and count the leader's self-ack
-// toward quorum — advanceCommit sees the disk as just another
-// matchIndex.
+// externalize the fenced bundles in staging order, recycle the run's
+// buffers, and count the leader's self-ack toward quorum —
+// advanceCommit sees the disk as just another matchIndex.
 func (nd *Node) onPersistDone(d persistDone) {
 	n := d.n
 	if n < 1 {
 		n = 1
 	}
+	batches := nd.pendingPersist[nd.persistHead : nd.persistHead+n]
+	nd.persistHead += n
 	// Clamping keeps targets non-decreasing, so the run's last is its
 	// highest.
-	target := nd.pendingPersist[n-1]
-	nd.pendingPersist = nd.pendingPersist[n:]
+	target := batches[n-1].target
 	nd.met.onPersistDepth(len(nd.persistQ))
+	if d.err == nil && target > nd.durableIndex {
+		nd.durableIndex = target
+	}
+	for i := range batches {
+		b := &batches[i]
+		if d.err == nil {
+			for _, m := range b.msgs {
+				_ = nd.cfg.Endpoint.Send(m.to, m.payload)
+			}
+			for _, r := range b.replies {
+				r.ch <- r.reply
+			}
+		}
+		putBuf(&nd.freeMuts, b.muts)
+		putBuf(&nd.freeMsgs, b.msgs)
+		putBuf(&nd.freeReplies, b.replies)
+		*b = inflightBatch{}
+	}
+	if nd.persistHead == len(nd.pendingPersist) {
+		nd.pendingPersist, nd.persistHead = nd.pendingPersist[:0], 0
+	}
 	if d.err != nil {
 		nd.fatal = d.err
 		return
-	}
-	if target > nd.durableIndex {
-		nd.durableIndex = target
-	}
-	for _, m := range d.msgs {
-		_ = nd.cfg.Endpoint.Send(m.to, m.payload)
-	}
-	for _, r := range d.replies {
-		r.ch <- r.reply
 	}
 	if nd.hs.state == Leader && nd.ls != nil {
 		nd.met.onSelfAckLag(nd.hs.commitIndex - nd.durableIndex)
@@ -424,11 +500,10 @@ func (nd *Node) enqueueApply(it applyItem) {
 // interval stamped independently by the persist worker, network runs
 // from append/broadcast to quorum commit and the two may overlap.
 func (nd *Node) enqueueApplyEntries(old, index int) {
-	ents := make([]Entry, 0, index-old)
-	for i := old + 1; i <= index; i++ {
-		e, _ := nd.hs.log.entryAt(i)
-		ents = append(ents, e)
-	}
+	// A read-only view: the log never rewrites an entry it has handed
+	// out (see raftLog.slice), and committed entries are never compacted
+	// before the apply worker has applied them.
+	ents := nd.hs.log.sliceLimit(old+1, index-old)
 	var traced []applyTrace
 	if len(nd.traced) > 0 {
 		committed := time.Now()

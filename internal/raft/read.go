@@ -156,19 +156,23 @@ func (nd *Node) ReadIndexMode(ctx context.Context, mode ReadConsistency) (int, e
 	if mode == ReadLogCommand {
 		return 0, errors.New("raft: ReadLogCommand is served by the Client, not the node")
 	}
-	req := readReq{mode: mode, reply: make(chan proposeReply, 1), t0: time.Now(), trace: rtrace.FromContext(ctx)}
+	ch := replyChans.Get().(chan proposeReply)
+	req := readReq{mode: mode, reply: ch, t0: time.Now(), trace: rtrace.FromContext(ctx)}
 	select {
 	case nd.readCh <- req:
 	case <-ctx.Done():
+		replyChans.Put(ch) // never enqueued, so no reply can come
 		return 0, ctx.Err()
 	case <-nd.stopped:
+		replyChans.Put(ch)
 		return 0, ErrStopped
 	}
 	select {
-	case rep := <-req.reply:
+	case rep := <-ch:
+		replyChans.Put(ch)
 		return rep.index, rep.err
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		return 0, ctx.Err() // ch is abandoned: see replyChans
 	case <-nd.stopped:
 		return 0, ErrStopped
 	}

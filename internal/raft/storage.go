@@ -41,6 +41,11 @@ type Storage interface {
 	// mutation. Crash-consistency contract: a crash mid-batch may lose a
 	// suffix of the batch, but the surviving prefix must replay to a
 	// consistent PersistentState (see Load).
+	//
+	// The node reuses muts for its next batch, so an implementation must
+	// not keep muts after the call returns. Each mutation's Entries is
+	// read-only: it may alias the node's in-memory log (a raftLog view),
+	// so copy what must outlive the call and never write through it.
 	AppendBatch(muts []LogMutation) error
 	// SaveSnapshot durably records a state-machine snapshot covering the
 	// log through index; entries up to it may be discarded.
@@ -52,6 +57,7 @@ type Storage interface {
 
 // LogMutation is one TruncateAndAppend-shaped log change, the unit
 // AppendBatch coalesces: entries replace/extend the log after PrevIndex.
+// Entries is read-only; see AppendBatch.
 type LogMutation struct {
 	PrevIndex int
 	Entries   []Entry
